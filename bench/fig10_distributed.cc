@@ -155,7 +155,7 @@ int TcpMain() {
               "run: measured mean all-reduce seconds per iteration on rank 0's wire,\n"
               "split into comm HIDDEN behind backward (the bucketed overlap win) and\n"
               "comm EXPOSED past it, next to the NetworkModel projection for the same\n"
-              "payload. Each world also reruns with --overlap=0 (the sequential round)\n"
+              "payload. Each world also reruns with --overlap=0 (one bucket after backward)\n"
               "to show the wall-clock saving and the bitwise-identical replica hash.\n"
               "(Measured time includes peer skew — a rank blocked on a slower neighbor\n"
               "counts the wait — so tiny payloads bottom out at a latency+skew floor\n"

@@ -207,8 +207,8 @@ double MeasureSecondsPerIter(int world, int64_t elems, int iters, int warmup,
           EGERIA_CHECK(transport.Barrier().ok());
           timer.Reset();
         }
-        EGERIA_CHECK(ring.ReduceScatterAverage(grads, nullptr).ok());
-        EGERIA_CHECK(ring.AllGather(values).ok());
+        EGERIA_CHECK(ring.ReduceScatterAverageRange(grads, 0, grads.NumEl()).ok());
+        EGERIA_CHECK(ring.AllGatherRange(values, 0, values.NumEl()).ok());
       }
       if (r == 0) {
         rank0_seconds = timer.ElapsedSeconds();

@@ -149,8 +149,31 @@ echo "== bench smoke: fig09 frozen-forward elimination (feature store on/off) ==
 # feeds the advisory frozen_forward_saved_s trajectory metric.
 ./build/fig09_breakdown --smoke | tee "$fig09_tmp"
 
-echo "== dist smoke: 2-process TCP ring (egeria_worker via launch_dist.sh) =="
-./scripts/launch_dist.sh -n 2 -t 300 -- --workload=tiny --epochs=2
+resume_tmp=$(mktemp -d "${TMPDIR:-/tmp}/egeria-resume-XXXXXX")
+trap 'rm -f "$bench_tmp" "$bench_err" "$table2_tmp" "$integrity_tmp" "$fig09_tmp"; rm -rf "$resume_tmp"' EXIT
+hash_of() {
+  grep -h '^EGERIA_RESULT' "$1"/rank_*.log \
+    | sed -n 's/.*params_hash=\([0-9a-f]*\).*/\1/p' | sort -u
+}
+
+echo "== dist smoke: 2-process TCP ring, both bucket layouts (launch_dist.sh) =="
+# The ZeRO-1 round with per-stage buckets overlapping backward (--overlap=1)
+# and with one bucket after backward (--overlap=0) is the same arithmetic, so
+# rank 0 must end on the same params_hash either way.
+for overlap in 1 0; do
+  ./scripts/launch_dist.sh -n 2 -t 300 -l "$resume_tmp/overlap$overlap" -- \
+    --workload=tiny --epochs=2 --overlap=$overlap
+done
+rank0_hash_of() {
+  sed -n 's/^EGERIA_RESULT.*params_hash=\([0-9a-f]*\).*/\1/p' "$1/rank_0.log"
+}
+overlap1_hash=$(rank0_hash_of "$resume_tmp/overlap1")
+overlap0_hash=$(rank0_hash_of "$resume_tmp/overlap0")
+if [ -z "$overlap1_hash" ] || [ "$overlap1_hash" != "$overlap0_hash" ]; then
+  echo "check.sh: --overlap=0 hash '$overlap0_hash' != --overlap=1 hash '$overlap1_hash'" >&2
+  exit 1
+fi
+echo "check.sh: bucket-layout hash pin OK ($overlap1_hash)"
 
 echo "== dist smoke: crash-resume (checkpoint, --fault=exit, restart, hash pin) =="
 # A 2-process world writes checkpoints, every rank is killed mid-run by fault
@@ -158,12 +181,6 @@ echo "== dist smoke: crash-resume (checkpoint, --fault=exit, restart, hash pin) 
 # latest complete checkpoint. The final weights hash must be bitwise-equal to
 # an uninterrupted run's — the checkpoint subsystem's bitwise-resume contract,
 # exercised end to end from the command line.
-resume_tmp=$(mktemp -d "${TMPDIR:-/tmp}/egeria-resume-XXXXXX")
-trap 'rm -f "$bench_tmp" "$bench_err" "$table2_tmp" "$integrity_tmp" "$fig09_tmp"; rm -rf "$resume_tmp"' EXIT
-hash_of() {
-  grep -h '^EGERIA_RESULT' "$1"/rank_*.log \
-    | sed -n 's/.*params_hash=\([0-9a-f]*\).*/\1/p' | sort -u
-}
 ./scripts/launch_dist.sh -n 2 -t 300 -l "$resume_tmp/ref" -- \
   --workload=tiny --epochs=3
 ref_hash=$(hash_of "$resume_tmp/ref")

@@ -1,5 +1,9 @@
 #include "src/core/task.h"
 
+#include <algorithm>
+
+#include "src/data/dataloader.h"
+#include "src/models/chain_model.h"
 #include "src/util/logging.h"
 
 namespace egeria {
@@ -58,6 +62,20 @@ TaskMetric AggregateMetric(const TaskSpec& spec, const std::vector<TaskMetric>& 
   out.unit = parts.front().unit;
   out.score = (spec.kind == TaskKind::kTranslation) ? -out.display : out.display;
   return out;
+}
+
+TaskMetric ValidateModel(ChainModel& model, const DataLoader& loader,
+                         const TaskSpec& spec, int64_t val_batches) {
+  model.SetTraining(false);
+  std::vector<TaskMetric> parts;
+  const int64_t n = std::min<int64_t>(val_batches, loader.NumBatches());
+  for (int64_t b = 0; b < n; ++b) {
+    Batch batch = loader.GetBatch(b);
+    model.SetBatch(batch);
+    Tensor logits = model.ForwardFrom(0, batch.input);
+    parts.push_back(EvaluateTask(spec, logits, batch));
+  }
+  return AggregateMetric(spec, parts);
 }
 
 }  // namespace egeria

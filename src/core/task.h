@@ -11,6 +11,9 @@
 
 namespace egeria {
 
+class ChainModel;
+class DataLoader;
+
 enum class TaskKind { kClassification, kSegmentation, kTranslation, kQa };
 
 struct TaskSpec {
@@ -34,6 +37,12 @@ TaskMetric EvaluateTask(const TaskSpec& spec, const Tensor& logits, const Batch&
 
 // Aggregates display metrics across batches and rebuilds the score.
 TaskMetric AggregateMetric(const TaskSpec& spec, const std::vector<TaskMetric>& parts);
+
+// The validation pass: switches `model` to eval mode (and leaves it there),
+// runs a full forward over the first min(val_batches, NumBatches()) batches
+// of `loader` and aggregates their metrics.
+TaskMetric ValidateModel(ChainModel& model, const DataLoader& loader,
+                         const TaskSpec& spec, int64_t val_batches);
 
 }  // namespace egeria
 

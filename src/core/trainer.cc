@@ -368,17 +368,10 @@ int64_t Trainer::TryResume() {
 }
 
 TaskMetric Trainer::Validate() {
-  model_.SetTraining(false);
-  std::vector<TaskMetric> parts;
-  const int64_t n = std::min<int64_t>(cfg_.val_batches, val_loader_.NumBatches());
-  for (int64_t b = 0; b < n; ++b) {
-    Batch batch = val_loader_.GetBatch(b);
-    model_.SetBatch(batch);
-    Tensor logits = model_.ForwardFrom(0, batch.input);
-    parts.push_back(EvaluateTask(cfg_.task, logits, batch));
-  }
+  const TaskMetric metric =
+      ValidateModel(model_, val_loader_, cfg_.task, cfg_.val_batches);
   model_.SetTraining(true);
-  return AggregateMetric(cfg_.task, parts);
+  return metric;
 }
 
 TrainResult Trainer::Run() {
@@ -434,6 +427,20 @@ TrainResult Trainer::Run() {
     double epoch_frozen_fp_seconds = 0.0;
     int64_t epoch_fp_skips = 0;
     WallTimer epoch_timer;
+    // The split forward over a frozen prefix: ForwardPrefix (its seconds
+    // accounted as frozen-prefix forward), then ForwardFrom the frontier.
+    // Returns the boundary activation; the logits land in *logits.
+    auto split_forward = [&](const Tensor& input, Tensor* logits) {
+      double prefix_seconds = 0.0;
+      obs::ScopedPhase prefix_phase("trainer", "frozen_fp", &frozen_fp_hist,
+                                    &prefix_seconds);
+      Tensor boundary = model_.ForwardPrefix(frontier_ - 1, input);
+      prefix_phase.Stop();
+      result_.frozen_fp_seconds += prefix_seconds;
+      epoch_frozen_fp_seconds += prefix_seconds;
+      *logits = model_.ForwardFrom(frontier_, boundary);
+      return boundary;
+    };
 
     for (int64_t b = epoch == start_epoch ? start_batch : 0; b < loader_.NumBatches();
          ++b) {
@@ -475,7 +482,6 @@ TrainResult Trainer::Run() {
       // declines and the prefix is recomputed.
       model_.SetBatch(batch);
       Tensor logits;
-      bool skipped = false;
       // The fp phase covers the whole forward block, including the nested
       // cache and frozen-prefix intervals below — same semantics the bespoke
       // fp_seconds accumulator always had; the nested spans show up inside
@@ -499,23 +505,13 @@ TrainResult Trainer::Run() {
           trace::AddInstant("cache", "fp_skip");
           fp_skip_counter.Add(1);
           logits = model_.ForwardFrom(frontier_, cached);
-          skipped = true;
           ++result_.fp_skip_count;
           ++epoch_fp_skips;
         } else {
-          double prefix_seconds = 0.0;
-          {
-            obs::ScopedPhase prefix_phase("trainer", "frozen_fp",
-                                          &frozen_fp_hist, &prefix_seconds);
-            Tensor boundary = model_.ForwardPrefix(frontier_ - 1, batch.input);
-            prefix_phase.Stop();
-            result_.frozen_fp_seconds += prefix_seconds;
-            epoch_frozen_fp_seconds += prefix_seconds;
-            logits = model_.ForwardFrom(frontier_, boundary);
-            obs::ScopedPhase store_phase("cache", "store", &cache_hist,
-                                         &result_.cache_seconds);
-            cache_->StoreBatch(batch.sample_ids, boundary);
-          }
+          const Tensor boundary = split_forward(batch.input, &logits);
+          obs::ScopedPhase store_phase("cache", "store", &cache_hist,
+                                       &result_.cache_seconds);
+          cache_->StoreBatch(batch.sample_ids, boundary);
         }
         {
           obs::ScopedPhase prefetch_phase("cache", "prefetch_submit",
@@ -529,16 +525,7 @@ TrainResult Trainer::Run() {
           decline_counter.Add(1);
           ++result_.cache_declined_iters;
         }
-        double prefix_seconds = 0.0;
-        {
-          obs::ScopedPhase prefix_phase("trainer", "frozen_fp", &frozen_fp_hist,
-                                        &prefix_seconds);
-          Tensor boundary = model_.ForwardPrefix(frontier_ - 1, batch.input);
-          prefix_phase.Stop();
-          result_.frozen_fp_seconds += prefix_seconds;
-          epoch_frozen_fp_seconds += prefix_seconds;
-          logits = model_.ForwardFrom(frontier_, boundary);
-        }
+        split_forward(batch.input, &logits);
       } else {
         logits = model_.ForwardFrom(0, batch.input);
       }
@@ -552,7 +539,6 @@ TrainResult Trainer::Run() {
       // --- Plasticity evaluation submission (async, non-blocking) ---
       // Valid on cache-skipped iterations too: ForwardFrom(frontier, cached) still
       // computes the frontier stage, so StageOutput(frontier) is a genuine A_T.
-      (void)skipped;
       MaybeSubmitEval(batch, lr, iter);
 
       // --- Backward + update (active stages only) ---

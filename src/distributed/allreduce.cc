@@ -88,15 +88,6 @@ Span ClippedChunkSpan(int64_t total, int world, int chunk, int64_t begin,
 
 RingAllReducer::RingAllReducer(Transport& transport) : transport_(transport) {}
 
-TransportStatus RingAllReducer::ReduceScatterAverage(
-    FlatParamView& view, std::pair<int64_t, int64_t>* owned) {
-  if (owned != nullptr) {
-    const Span own = ChunkSpan(view.NumEl(), transport_.World(), transport_.Rank());
-    *owned = {own.begin, own.end};
-  }
-  return ReduceScatterAverageRange(view, 0, view.NumEl());
-}
-
 TransportStatus RingAllReducer::ReduceScatterAverageRange(FlatParamView& view,
                                                           int64_t begin,
                                                           int64_t end) {
@@ -143,10 +134,6 @@ TransportStatus RingAllReducer::ReduceScatterAverageRange(FlatParamView& view,
   }
   payload_bytes_ += (end - begin) * static_cast<int64_t>(sizeof(float));
   return st;
-}
-
-TransportStatus RingAllReducer::AllGather(FlatParamView& view) {
-  return AllGatherRange(view, 0, view.NumEl());
 }
 
 TransportStatus RingAllReducer::AllGatherRange(FlatParamView& view, int64_t begin,

@@ -4,16 +4,22 @@
 //
 //  - GradientAllReducer: the sequential reference. Rank 0 folds every chunk in
 //    canonical ring order and broadcasts. Obviously correct, zero concurrency in
-//    the arithmetic; tests pin the ring against it bitwise. In-process only
-//    (ranks must be threads sharing the parameter lists).
+//    the arithmetic; it is the training-level bitwise oracle the ring is pinned
+//    against (tests, bench/fig10_distributed), paired with a replicated Sgd.
+//    In-process only (ranks must be threads sharing the parameter lists), and
+//    it does not checkpoint: TrainRank rejects it with a ckpt.dir set.
 //  - RingAllReducer: bandwidth-optimal ring reduce-scatter + all-gather over
 //    `world` contract chunks, executed over a byte-oriented Transport
 //    (transport/transport.h) — the same schedule runs unchanged whether ranks
 //    are threads (InprocTransportGroup) or OS processes (MakeTcpTransport).
 //    Each link carries 2(W-1)/W of the payload instead of the star reducer's
-//    2(W-1). Exposed as two halves so the ZeRO-1 sharded optimizer can run
-//    between them: reduce-scatter(grads) -> owner applies the optimizer update
-//    on its shard -> all-gather(params).
+//    2(W-1). Exposed as two range-restricted halves so the ZeRO-1 sharded
+//    optimizer can run between them: reduce-scatter(grads) -> owner applies
+//    the optimizer update on its shard -> all-gather(params). TrainRank runs
+//    them only through OverlapReducer (overlap_reducer.h), one round per
+//    iteration with one of two bucket layouts: a bucket per stage issued
+//    during backward, or one bucket over the whole active space [0, NumEl())
+//    issued after it.
 //
 // Both count payload bytes so tests can assert that frozen stages drop out of
 // synchronization (the Fig. 10 traffic saving); the ring additionally measures
@@ -26,7 +32,6 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "src/distributed/flat_view.h"
@@ -62,31 +67,29 @@ class RingAllReducer {
  public:
   explicit RingAllReducer(Transport& transport);
 
-  // Collective ring reduce-scatter + average. On ok, this rank's view holds
-  // the contract-averaged result in chunk Rank() of the flat space; the other
-  // chunks are left with whatever partial state the ring deposited (callers
-  // own only their chunk until the matching AllGather). `owned` (nullable)
-  // receives the owned flat range [begin, end). On a transport error the view
-  // holds partial fold state and must not be consumed.
-  TransportStatus ReduceScatterAverage(FlatParamView& view,
-                                       std::pair<int64_t, int64_t>* owned);
-
-  // Collective ring all-gather: circulates each owner's chunk so every rank's
-  // view ends bitwise-identical on ok. The view may be a different field than
-  // the reduce-scatter's (ZeRO-1 gathers updated parameter values, not
-  // gradients) but must have the same flat size.
-  TransportStatus AllGather(FlatParamView& view);
-
-  // Range-restricted halves for the backward-overlapped bucket schedule
-  // (overlap_reducer.h). The circulated spans are the intersection of the
-  // GLOBAL contract chunks of view.NumEl() with [begin, end) — NOT a fresh
-  // contract over the sub-range — so every element keeps the exact chunk
-  // assignment and fold order it has in the full-space round. The union of
-  // disjoint bucket rounds covering [0, NumEl()) is therefore bitwise-equal to
-  // one ReduceScatterAverage/AllGather pair, which is the whole overlap
-  // correctness argument. All ranks must call with identical [begin, end).
-  // Empty intersections still exchange zero-byte frames (ring stays in
-  // lockstep). The full-space calls above are the [0, NumEl()) special case.
+  // The ring halves over the flat range [begin, end) of `view`; all ranks
+  // must call with identical [begin, end), and [0, view.NumEl()) is the
+  // whole space.
+  //
+  // ReduceScatterAverageRange: on ok, this rank's view holds the
+  // contract-averaged result in chunk Rank() ∩ [begin, end) (ChunkSpan of
+  // view.NumEl() gives the chunk); the other chunks hold whatever partial
+  // state the ring deposited (callers own only their chunk until the matching
+  // all-gather). On a transport error the view holds partial fold state and
+  // must not be consumed.
+  //
+  // AllGatherRange: circulates each owner's chunk ∩ [begin, end) so every
+  // rank's view ends bitwise-identical on the range. The view may be a
+  // different field than the reduce-scatter's (ZeRO-1 gathers updated
+  // parameter values, not gradients) but must have the same flat size.
+  //
+  // The circulated spans are the intersection of the GLOBAL contract chunks of
+  // view.NumEl() with [begin, end) — NOT a fresh contract over the sub-range —
+  // so every element keeps the exact chunk assignment and fold order it has
+  // in the whole-space round. The union of disjoint range rounds covering
+  // [0, NumEl()) is therefore bitwise-equal to one whole-space round, which
+  // is the whole bucket-layout correctness argument. Empty intersections
+  // still exchange zero-byte frames (ring stays in lockstep).
   TransportStatus ReduceScatterAverageRange(FlatParamView& view, int64_t begin,
                                             int64_t end);
   TransportStatus AllGatherRange(FlatParamView& view, int64_t begin, int64_t end);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -20,6 +20,7 @@
 #include "src/distributed/overlap_reducer.h"
 #include "src/distributed/transport/inproc_transport.h"
 #include "src/distributed/transport/integrity_transport.h"
+#include "src/distributed/transport/ring_schedule.h"
 #include "src/distributed/transport/tcp_transport.h"
 #include "src/obs/metrics.h"
 #include "src/obs/phase.h"
@@ -128,20 +129,12 @@ TransportStatus AllRanksCkptStatus(Transport& transport, bool local_ok,
     acc.code = static_cast<int32_t>(TransportError::kIo);
     acc.rank = transport.Rank();
   }
-  for (int step = 0; step + 1 < transport.World(); ++step) {
-    CkptStatusWire incoming;
-    TransportStatus st =
-        transport.RingExchange(&acc, sizeof(acc), &incoming, sizeof(incoming));
-    if (!st.ok()) {
-      return st;
-    }
-    if (incoming.code != 0 &&
-        (acc.code == 0 || incoming.rank < acc.rank)) {
-      acc = incoming;
-    }
-  }
+  TransportStatus st =
+      RingReduce(transport, &acc, [](CkptStatusWire a, CkptStatusWire b) {
+        return b.code != 0 && (a.code == 0 || b.rank < a.rank) ? b : a;
+      });
   *worst = acc;
-  return TransportStatus::Ok();
+  return st;
 }
 
 bool ReadShardFile(const std::string& path, ShardedSgd::ShardState& s) {
@@ -193,6 +186,8 @@ RankTrainResult TrainRank(
   const bool sharded = cfg.reducer == DistTrainConfig::Reducer::kRingSharded;
   EGERIA_CHECK_MSG(sharded || reference_reducer != nullptr,
                    "sequential reference reducer requires in-process ranks");
+  EGERIA_CHECK_MSG(sharded || cfg.ckpt.dir.empty(),
+                   "the sequential reference reducer does not checkpoint");
 
   RankTrainResult result;
   result.rank = rank;
@@ -268,17 +263,14 @@ RankTrainResult TrainRank(
   double seg_hidden_start = 0.0;   // overlap hidden-seconds at segment start
   double seg_exposed_start = 0.0;  // overlap exposed-seconds at segment start
 
-  // Overlapped reducer (tentpole): a dedicated comm thread runs per-stage
-  // bucket rounds while backward computes, fed by the model's stage-backward
-  // observer. Constructed only on the ring-sharded path with overlap enabled;
-  // the sequential round stays available as the bitwise pin baseline.
-  const bool overlap = sharded && cfg.overlap_comm;
-  std::optional<OverlapReducer> overlap_reducer;
-  if (overlap) {
-    overlap_reducer.emplace(transport, ring, shard_opt);
-    model.SetStageBackwardObserver(
-        [&ov = *overlap_reducer](int stage) { ov.NotifyStageReady(stage); });
-  }
+  // The ZeRO-1 round: a dedicated comm thread runs the bucket rounds, fed by
+  // the model's stage-backward observer. Every ring-sharded iteration goes
+  // through it; overlap_comm only picks the bucket layout (make_buckets). On
+  // the reference path it stays idle: no round is ever begun, so
+  // notifications are ignored.
+  OverlapReducer overlap_reducer(transport, ring, shard_opt);
+  model.SetStageBackwardObserver(
+      [&overlap_reducer](int stage) { overlap_reducer.NotifyStageReady(stage); });
   // The observer closes over the stack-scoped reducer but the model outlives
   // this frame (it is handed back on the result), so detach it on every exit
   // path. Destroyed before overlap_reducer (declared after it), so no stray
@@ -297,6 +289,9 @@ RankTrainResult TrainRank(
   // chunks), and since backward runs deep to front, a merged bucket's grads
   // are all final when its FRONT-most stage — the bucket's label, whose
   // NotifyStageReady fires last among its members — completes backward.
+  // Without overlap_comm the bound is unreachable, so every stage coalesces
+  // into one bucket {frontier, [0, active)}: ready at the end of backward,
+  // and run without an agreement ring (a lone bucket is forced).
   auto make_buckets = [&](int at_frontier) {
     std::vector<OverlapReducer::Bucket> buckets;
     int64_t offset = 0;
@@ -305,7 +300,9 @@ RankTrainResult TrainRank(
       buckets.push_back(OverlapReducer::Bucket{stage, offset, offset + n});
       offset += n;
     }
-    const int64_t min_elems = cfg.overlap_min_bucket_elems;
+    const int64_t min_elems = cfg.overlap_comm
+                                  ? cfg.overlap_min_bucket_elems
+                                  : std::numeric_limits<int64_t>::max();
     if (min_elems > 0) {
       std::vector<OverlapReducer::Bucket> merged;
       for (const OverlapReducer::Bucket& b : buckets) {
@@ -339,18 +336,25 @@ RankTrainResult TrainRank(
             ? (ring.CommSeconds() - seg_comm_start) / static_cast<double>(rounds)
             : 0.0;
     seg_comm_start = ring.CommSeconds();
-    if (overlap_reducer.has_value() && rounds > 0) {
+    if (rounds > 0) {
       prev.comm_hidden_s_per_iter =
-          (overlap_reducer->TotalHiddenSeconds() - seg_hidden_start) /
+          (overlap_reducer.TotalHiddenSeconds() - seg_hidden_start) /
           static_cast<double>(rounds);
       prev.comm_exposed_s_per_iter =
-          (overlap_reducer->TotalExposedSeconds() - seg_exposed_start) /
+          (overlap_reducer.TotalExposedSeconds() - seg_exposed_start) /
           static_cast<double>(rounds);
     }
-    if (overlap_reducer.has_value()) {
-      seg_hidden_start = overlap_reducer->TotalHiddenSeconds();
-      seg_exposed_start = overlap_reducer->TotalExposedSeconds();
-    }
+    seg_hidden_start = overlap_reducer.TotalHiddenSeconds();
+    seg_exposed_start = overlap_reducer.TotalExposedSeconds();
+  };
+
+  // Every partition must hand this rank exactly the contract chunk a
+  // reduce-scatter over the active space lands on it: the bucket rounds step
+  // [shard_begin, shard_end) and nothing else. Checked once per partition.
+  auto check_shard_ownership = [&](int64_t active) {
+    const Span own = ChunkSpan(active, world, rank);
+    EGERIA_CHECK_MSG(shard_begin == own.begin && shard_end == own.end,
+                     "optimizer shard is not this rank's reduce-scatter chunk");
   };
 
   // Collective shard (re)partition over the active suffix at `at_frontier`.
@@ -366,6 +370,7 @@ RankTrainResult TrainRank(
       return st;
     }
     std::tie(shard_begin, shard_end) = shard;
+    check_shard_ownership(active);
     if (rank == 0) {
       finalize_segment(at_iter);
       DistReshardEvent ev;
@@ -412,10 +417,7 @@ RankTrainResult TrainRank(
     const std::string step_dir = CheckpointStepDir(cfg.ckpt.dir, at_iter);
     bool ok = EnsureDir(step_dir);
     // Clone the snapshot: the background thread must never read live state.
-    ShardedSgd::ShardState shard_state;
-    if (sharded) {
-      shard_state = shard_opt.ExportShard();
-    }
+    ShardedSgd::ShardState shard_state = shard_opt.ExportShard();
     Checkpoint buffers = ExportModelBuffers(model);
     Checkpoint state;
     std::string dist_state_bytes;
@@ -423,18 +425,6 @@ RankTrainResult TrainRank(
     bool has_controller = false;
     if (rank == 0) {
       state = ExportModelState(model);
-      if (!sharded) {
-        // Sequential reference path: the replicated optimizer state is
-        // identical on every rank; persist rank 0's alongside the weights.
-        std::vector<Parameter*> params;
-        std::vector<std::string> names;
-        auto named = NamedParams(model);
-        for (auto& [name, p] : named) {
-          names.push_back(std::move(name));
-          params.push_back(p);
-        }
-        opt.ExportState(params, names, state);
-      }
       {
         std::ostringstream os(std::ios::binary);
         wire::Write(os, kDistStateMagic);
@@ -461,15 +451,12 @@ RankTrainResult TrainRank(
       ckpt_manifest.frozen_elems = total_elems - active;
       ckpt_manifest.active_elems = active;
     }
-    auto write_job = [rank, sharded, step_dir, shard_state = std::move(shard_state),
+    auto write_job = [rank, step_dir, shard_state = std::move(shard_state),
                       buffers = std::move(buffers), state = std::move(state),
                       dist_state_bytes = std::move(dist_state_bytes),
                       controller_bytes = std::move(controller_bytes),
                       has_controller]() -> bool {
-      bool wok = true;
-      if (sharded) {
-        wok = WriteShardFile(step_dir + "/" + ShardFileName(rank), shard_state);
-      }
+      bool wok = WriteShardFile(step_dir + "/" + ShardFileName(rank), shard_state);
       wok = wok && SaveCheckpoint(step_dir + "/" + BuffersFileName(rank), buffers);
       if (rank == 0) {
         wok = wok && SaveCheckpoint(step_dir + "/model.state", state);
@@ -531,10 +518,8 @@ RankTrainResult TrainRank(
           ok = AddManifestFile(m, "controller.state");
         }
         for (int r = 0; r < world && ok; ++r) {
-          ok = AddManifestFile(m, BuffersFileName(r));
-          if (ok && sharded) {
-            ok = AddManifestFile(m, ShardFileName(r));
-          }
+          ok = AddManifestFile(m, BuffersFileName(r)) &&
+               AddManifestFile(m, ShardFileName(r));
         }
         if (!ok || !CommitManifest(m)) {
           EGERIA_LOG(kError) << "distributed checkpoint at iter " << ckpt_pending_iter
@@ -613,7 +598,7 @@ RankTrainResult TrainRank(
                        "malformed dist.state: " + step_dir);
       knowledge_stage = ks != 0;
     }
-    if (sharded) {
+    {
       // Re-fold the saved momentum shards through the reduction-contract
       // partition at THIS world size — the saved world may differ (elastic
       // restart); every element's value is preserved, only ownership moves.
@@ -626,16 +611,7 @@ RankTrainResult TrainRank(
       }
       std::tie(shard_begin, shard_end) = shard_opt.RestoreShard(
           rank, world, m->frozen_elems, m->active_elems, saved);
-    } else {
-      std::vector<Parameter*> params;
-      std::vector<std::string> names;
-      auto named = NamedParams(model);
-      for (auto& [name, p] : named) {
-        names.push_back(std::move(name));
-        params.push_back(p);
-      }
-      EGERIA_CHECK_MSG(opt.ImportState(params, names, state),
-                       "replicated optimizer restore failed: " + step_dir);
+      check_shard_ownership(m->active_elems);
     }
     if (rank == 0) {
       if (controller != nullptr) {
@@ -768,71 +744,40 @@ RankTrainResult TrainRank(
       for (Parameter* p : active) {
         p->grad.Zero_();
       }
+      FlatParamView grads(active, FlatParamView::Field::kGrad);
+      FlatParamView values(active, FlatParamView::Field::kValue);
       if (sharded) {
-        FlatParamView grads(active, FlatParamView::Field::kGrad);
-        FlatParamView values(active, FlatParamView::Field::kValue);
-        if (overlap) {
-          // Overlapped ZeRO-1 round: the comm thread reduces each stage's
-          // bucket the moment that stage's backward hands it over; from
-          // BeginRound to FinishRound the comm thread is the transport's only
-          // user. Bitwise-identical to the sequential round below because
-          // every bucket circulates global-contract-chunk ∩ bucket spans.
-          overlap_reducer->BeginRound(&grads, &values, make_buckets(frontier),
-                                      shard_begin, shard_end, lr);
-          {
-            obs::ScopedPhase bp_phase("trainer", "bp", &bp_hist,
-                                      &result.bp_seconds);
-            model.BackwardTo(frontier, loss.grad);
-          }
-          {
-            // Comm exposed past the end of backward — the merged timeline
-            // shows comm-thread bucket spans inside/around this wait. The
-            // histogram is what the heartbeat stats frames ship to rank 0
-            // for online straggler detection: a rank that never waits here
-            // is the one everyone else is waiting FOR.
-            obs::ScopedPhase wait_phase("trainer", "comm_wait",
-                                        &comm_wait_hist);
-            EGERIA_RETURN_ON_TRANSPORT_ERROR(overlap_reducer->FinishRound());
-          }
-        } else {
-          // Sequential ZeRO-1 round (the pin baseline): ring reduce-scatter
-          // the gradients, owner applies the optimizer update on its shard,
-          // ring all-gather the updated weights.
-          {
-            obs::ScopedPhase bp_phase("trainer", "bp", &bp_hist,
-                                      &result.bp_seconds);
-            model.BackwardTo(frontier, loss.grad);
-          }
-          std::pair<int64_t, int64_t> owned{0, 0};
-          EGERIA_RETURN_ON_TRANSPORT_ERROR(ring.ReduceScatterAverage(grads, &owned));
-          EGERIA_CHECK(owned.first == shard_begin && owned.second == shard_end);
-          {
-            obs::ScopedPhase opt_phase("trainer", "opt", &opt_hist,
-                                       &result.opt_seconds);
-            shard_opt.Step(values, grads, shard_begin, shard_end, lr);
-          }
-          EGERIA_RETURN_ON_TRANSPORT_ERROR(ring.AllGather(values));
-        }
+        // The ZeRO-1 round: ring reduce-scatter of each bucket's gradients,
+        // owner-shard optimizer step, ring all-gather of the updated weights,
+        // run by the comm thread as buckets become ready during backward.
+        // From BeginRound to FinishRound the comm thread is the transport's
+        // only user.
+        overlap_reducer.BeginRound(&grads, &values, make_buckets(frontier),
+                                   shard_begin, shard_end, lr);
+      }
+      {
+        obs::ScopedPhase bp_phase("trainer", "bp", &bp_hist, &result.bp_seconds);
+        model.BackwardTo(frontier, loss.grad);
+      }
+      if (sharded) {
+        // Comm exposed past the end of backward — the merged timeline shows
+        // comm-thread bucket spans inside/around this wait. The histogram is
+        // what the heartbeat stats frames ship to rank 0 for online
+        // straggler detection: a rank that never waits here is the one
+        // everyone else is waiting FOR.
+        obs::ScopedPhase wait_phase("trainer", "comm_wait", &comm_wait_hist);
+        EGERIA_RETURN_ON_TRANSPORT_ERROR(overlap_reducer.FinishRound());
       } else {
         {
-          obs::ScopedPhase bp_phase("trainer", "bp", &bp_hist,
-                                    &result.bp_seconds);
-          model.BackwardTo(frontier, loss.grad);
+          EGERIA_TRACE_SCOPE("ring", "star_reduce");
+          reference_reducer->AllReduce(rank, active);
         }
-        EGERIA_TRACE_SCOPE("ring", "star_reduce");
-        reference_reducer->AllReduce(rank, active);
-      }
-      int64_t payload = 0;
-      for (Parameter* p : active) {
-        payload += p->grad.NumEl() * static_cast<int64_t>(sizeof(float));
-      }
-      result.bytes_synced += payload;
-      result.bytes_full_model += full_bytes_per_iter;
-      if (!sharded) {
         obs::ScopedPhase opt_phase("trainer", "opt", &opt_hist,
                                    &result.opt_seconds);
         opt.Step(active, lr);
       }
+      result.bytes_synced += grads.NumEl() * static_cast<int64_t>(sizeof(float));
+      result.bytes_full_model += full_bytes_per_iter;
       iter_counter.Add(1);
       obs::MaybeDumpOnSignal("dist_trainer");
 
@@ -875,26 +820,17 @@ RankTrainResult TrainRank(
   result.iterations = iter;
   result.wire_bytes = ring.TotalWireBytes();
   result.allreduce_seconds = ring.CommSeconds();
-  if (overlap_reducer.has_value()) {
-    result.comm_hidden_seconds = overlap_reducer->TotalHiddenSeconds();
-    result.comm_exposed_seconds = overlap_reducer->TotalExposedSeconds();
-  }
+  result.comm_hidden_seconds = overlap_reducer.TotalHiddenSeconds();
+  result.comm_exposed_seconds = overlap_reducer.TotalExposedSeconds();
   result.params_hash = HashParams(model.ParamsFrom(0));
 
-  // Validate on rank 0's replica.
+  // Validate on rank 0's replica (handed back in eval mode).
   if (rank == 0) {
     EGERIA_TRACE_SCOPE("trainer", "validate");
-    model.SetTraining(false);
-    DataLoader val_loader(val_data, cfg.batch_size, /*shuffle=*/false, cfg.seed + 1);
-    std::vector<TaskMetric> parts;
-    const int64_t nb = std::min<int64_t>(cfg.val_batches, val_loader.NumBatches());
-    for (int64_t b = 0; b < nb; ++b) {
-      Batch batch = val_loader.GetBatch(b);
-      model.SetBatch(batch);
-      Tensor logits = model.ForwardFrom(0, batch.input);
-      parts.push_back(EvaluateTask(cfg.task, logits, batch));
-    }
-    const TaskMetric metric = AggregateMetric(cfg.task, parts);
+    const DataLoader val_loader(val_data, cfg.batch_size, /*shuffle=*/false,
+                                cfg.seed + 1);
+    const TaskMetric metric =
+        ValidateModel(model, val_loader, cfg.task, cfg.val_batches);
     result.final_score = metric.score;
     result.final_display = metric.display;
   }

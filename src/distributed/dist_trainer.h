@@ -16,11 +16,13 @@
 // Default synchronization is a ring reduce-scatter/all-gather with ZeRO-1
 // optimizer-state sharding: each rank owns one contract chunk of the flattened
 // active-parameter space, applies the optimizer update for its shard, and the
-// all-gather circulates updated parameters. The freeze frontier re-partitions
-// shards, so frozen parameters leave both the ring payload and per-rank
-// optimizer memory. The rank-0 star reduce survives as the sequential reference
-// implementation that tests compare against bitwise (in-process only: it reads
-// peers' gradients through shared memory).
+// all-gather circulates updated parameters. That round is always run by
+// OverlapReducer (overlap_reducer.h), over per-stage buckets during backward
+// or one bucket after it. The freeze frontier re-partitions shards, so frozen
+// parameters leave both the ring payload and per-rank optimizer memory. The
+// rank-0 star reduce survives as the sequential reference implementation that
+// tests and bench/fig10_distributed compare against bitwise (in-process only:
+// it reads peers' gradients through shared memory; it does not checkpoint).
 #ifndef EGERIA_SRC_DISTRIBUTED_DIST_TRAINER_H_
 #define EGERIA_SRC_DISTRIBUTED_DIST_TRAINER_H_
 
@@ -54,6 +56,8 @@ struct DistTrainConfig {
   // Gradient synchronization + optimizer layout. Both implement the same
   // reduction contract, so they produce bitwise-identical trained weights (on
   // monotone-freezing runs; see sharded_optimizer.h for the unfreeze caveat).
+  // The reference exists to be compared against: it runs in-process only and
+  // does not checkpoint (TrainRank CHECK-fails when ckpt.dir is set).
   enum class Reducer {
     kRingSharded,           // ring reduce-scatter/all-gather + ZeRO-1 shards
     kSequentialReference,   // rank-0 star reduce + fully replicated optimizer
@@ -66,12 +70,12 @@ struct DistTrainConfig {
   enum class TransportKind { kInproc, kTcp };
   TransportKind transport = TransportKind::kInproc;
 
-  // Overlap gradient communication with backward compute (ring-sharded path
-  // only): the active space is split into per-stage buckets and a dedicated
-  // comm thread runs each stage's ring reduce-scatter/step/all-gather the
-  // moment that stage's backward finishes, front-most ready bucket first
-  // (overlap_reducer.h). Bitwise-identical to the post-backward round by the
-  // reduction contract; false keeps the sequential round as the pin baseline.
+  // Bucket layout of the ring-sharded path's one ZeRO-1 round
+  // (overlap_reducer.h). true: per-stage buckets, each stage's ring
+  // reduce-scatter/step/all-gather run by the comm thread the moment that
+  // stage's backward finishes, front-most ready bucket first, overlapping the
+  // remaining backward. false: one bucket over the whole active space, run
+  // after backward (no overlap). Bitwise-identical by the reduction contract.
   bool overlap_comm = true;
 
   // Coalesce adjacent per-stage buckets until each holds at least this many
@@ -81,7 +85,7 @@ struct DistTrainConfig {
   // bucket partition never changes element ownership or fold order (both
   // derive from the GLOBAL contract chunking), and backward runs deep to
   // front, so a merged bucket is complete exactly when its front-most stage's
-  // backward finishes. 0 = one bucket per stage.
+  // backward finishes. 0 = one bucket per stage. Ignored without overlap_comm.
   int64_t overlap_min_bucket_elems = 16384;
 
   bool enable_egeria = false;
@@ -129,10 +133,10 @@ struct DistReshardEvent {
   // Measured mean wall seconds rank 0 spent in ring collectives per iteration
   // while this frontier was in effect (i.e. over [iter, next event's iter)).
   double allreduce_seconds_per_iter = 0.0;
-  // Overlap split of that comm time (overlap_comm only): the share hidden
-  // behind backward compute vs exposed past the end of backward. hidden +
-  // exposed ≈ allreduce + agreement traffic; hidden is the Fig. 10 win the
-  // bucket schedule buys on a real wire.
+  // Overlap split of that comm time: the share hidden behind backward compute
+  // vs exposed past the end of backward (hidden is ~0 without overlap_comm).
+  // hidden + exposed ≈ allreduce + agreement traffic; hidden is the Fig. 10
+  // win the per-stage layout buys on a real wire.
   double comm_hidden_s_per_iter = 0.0;
   double comm_exposed_s_per_iter = 0.0;
 };
@@ -159,7 +163,8 @@ struct RankTrainResult {
   double data_seconds = 0.0;
   double fp_seconds = 0.0;
   double bp_seconds = 0.0;
-  double opt_seconds = 0.0;
+  double opt_seconds = 0.0;        // reference reducer only: the ring path
+                                   // steps on the comm thread
   double train_seconds = 0.0;      // whole-loop wall time (epoch loop only)
   int64_t resumed_from_iter = -1;  // checkpoint iteration resumed from, -1 = fresh
   bool stopped_early = false;      // stop_after_iters ended the run
@@ -199,7 +204,8 @@ struct DistTrainResult {
 // deterministic `make_model` (same architecture AND same seed per call; rank
 // 0's initial weights are additionally broadcast so replicas start
 // bit-identical even if seeding diverges). `reference_reducer` must be non-null
-// iff cfg.reducer == kSequentialReference (in-process threads only).
+// iff cfg.reducer == kSequentialReference (in-process threads only); that
+// reducer requires an empty cfg.ckpt.dir.
 RankTrainResult TrainRank(
     Transport& transport,
     const std::function<std::unique_ptr<ChainModel>()>& make_model,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/distributed/transport/ring_schedule.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/logging.h"
@@ -58,7 +59,7 @@ void OverlapReducer::BeginRound(FlatParamView* grads, FlatParamView* values,
 void OverlapReducer::NotifyStageReady(int stage) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!round_active_) {
-    return;  // Backward outside a round (reference path, warmup probes).
+    return;  // Backward outside a round (reference reducer, warmup probes).
   }
   for (size_t i = 0; i < buckets_.size(); ++i) {
     if (buckets_[i].stage == stage) {
@@ -154,16 +155,12 @@ bool OverlapReducer::ProcessNextBucket() {
     // rank converges on the same bucket without any rank waiting on an
     // un-notified one indefinitely. Bits are unaffected by the choice
     // (disjoint buckets).
-    for (int step = 0; step + 1 < transport_.World(); ++step) {
-      int32_t incoming = 0;
-      TransportStatus st =
-          transport_.RingExchange(&acc, sizeof(acc), &incoming, sizeof(incoming));
-      if (!st.ok()) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        round_status_ = std::move(st);
-        return false;
-      }
-      acc = std::max(acc, incoming);
+    TransportStatus st = RingReduce(
+        transport_, &acc, [](int32_t a, int32_t b) { return std::max(a, b); });
+    if (!st.ok()) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      round_status_ = std::move(st);
+      return false;
     }
   }
 
@@ -186,7 +183,7 @@ bool OverlapReducer::ProcessNextBucket() {
 
   // The bucket's ZeRO-1 round, over global-contract chunk intersections:
   // reduce-scatter the bucket's gradients, step the shard∩bucket slice,
-  // all-gather the updated values. Same arithmetic as the sequential round
+  // all-gather the updated values. Same arithmetic as the whole-space round
   // restricted to [begin, end).
   trace::Span bucket_span("comm", "bucket");
   if (bucket_span.active()) {

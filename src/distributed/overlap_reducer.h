@@ -1,31 +1,37 @@
-// Backward-overlapped bucketed gradient reducer: hides ring communication
-// behind backward compute (the paper's Fig. 10 "composes with ByteScheduler"
-// claim, made real on the byte Transport instead of simulated by
-// comm_scheduler.cc).
+// The ZeRO-1 gradient round: every ring-sharded TrainRank iteration runs one
+// round here — ring reduce-scatter of the gradients, the owner-shard optimizer
+// step, ring all-gather of the updated values — split into BUCKETS that a
+// dedicated comm thread processes as backward hands them over.
 //
-// The active flat parameter space is partitioned into per-stage BUCKETS (one
-// contiguous range per unfrozen stage, in ParamsFrom order; frozen stages have
-// no bucket at all). The trainer's backward fires a per-stage observer the
-// moment a stage's gradients are final; a dedicated comm thread then runs that
-// stage's bucket through a range-restricted ring reduce-scatter -> owner-shard
-// optimizer step -> ring all-gather while the main thread keeps computing the
-// remaining (earlier) stages' backward.
+// Two bucket layouts, chosen by the trainer (DistTrainConfig::overlap_comm):
+//  - per stage (overlap on): one contiguous range per unfrozen stage, in
+//    ParamsFrom order, adjacent small stages coalesced; frozen stages have no
+//    bucket at all. The trainer's backward fires a per-stage observer the
+//    moment a stage's gradients are final, so a stage's bucket round runs
+//    while the main thread keeps computing the remaining (earlier) stages'
+//    backward — the paper's Fig. 10 "composes with ByteScheduler" claim, made
+//    real on the byte Transport instead of simulated by comm_scheduler.cc.
+//  - one bucket (overlap off): the whole active space, labelled with the
+//    frontier stage, so it is ready only when backward has finished. This is
+//    the classic post-backward round; a lone bucket skips the agreement ring,
+//    so its transport calls are exactly the 2(W-1) ring steps.
 //
 // Bitwise contract. A bucket round circulates the intersection of the GLOBAL
 // reduction-contract chunks with the bucket range (allreduce.h,
 // ReduceScatterAverageRange), so every element keeps the chunk owner and fold
 // order it has in the full-space round; buckets are disjoint and cover the
-// space, so the union of bucket rounds is bitwise-equal to the sequential
-// post-backward round — and hence to the sequential reference reducer —
-// regardless of the order buckets are processed in.
+// space, so the union of bucket rounds is bitwise-equal to the one-bucket
+// round — and hence to the sequential reference reducer — regardless of the
+// layout and of the order buckets are processed in.
 //
 // Scheduling. Ranks may reach readiness at different times, but every
-// collective needs all ranks on the same bucket. Before each round the comm
-// threads run a ring agreement: each rank circulates the index of its
-// front-most (minimum stage) locally-ready unprocessed bucket and everyone
-// takes the max. Backward readiness grows from the back of the model, so each
-// rank's ready set is a suffix of the bucket order and the max-of-mins is
-// ready (or imminently ready) on every rank — deadlock-free, and it
+// collective needs all ranks on the same bucket. Before each bucket round
+// (except the last, whose choice is forced) the comm threads run a ring
+// agreement (RingReduce, transport/ring_schedule.h): each rank circulates the
+// index of its front-most (minimum stage) locally-ready unprocessed bucket
+// and everyone takes the max. Backward readiness grows from the back of the
+// model, so each rank's ready set is a suffix of the bucket order and the
+// max-of-mins is ready (or imminently ready) on every rank — deadlock-free, and it
 // implements exactly comm_scheduler.cc's ByteScheduler priority: among ready
 // buckets, front stages go first (they gate the next iteration's forward).
 // The choice only affects timing, never bits (buckets are disjoint).
@@ -54,10 +60,10 @@ namespace egeria {
 
 class OverlapReducer {
  public:
-  // One per-stage slice of the ACTIVE flat space ([begin, end) are offsets
-  // into the FlatParamView over ParamsFrom(frontier)). Buckets must be
-  // disjoint, ascending, and identical across ranks (they derive from shared
-  // model geometry + the broadcast frontier).
+  // One slice of the ACTIVE flat space ([begin, end) are offsets into the
+  // FlatParamView over ParamsFrom(frontier)), ready once `stage` finished
+  // backward. Buckets must be disjoint, ascending, and identical across ranks
+  // (they derive from shared model geometry + the broadcast frontier).
   struct Bucket {
     int stage = 0;
     int64_t begin = 0;

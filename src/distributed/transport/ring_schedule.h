@@ -12,11 +12,16 @@
 // function all ranks agree on. Keeping the loop here means the index
 // arithmetic and the step-(s-1)-recv == step-s-send size invariant live in
 // exactly one place.
+//
+// RingReduce is the scalar sibling: W-1 exchanges of one small POD value,
+// folded at every step. It serves the control-plane agreements (the overlap
+// reducer's bucket choice, the all-ranks checkpoint status).
 #ifndef EGERIA_SRC_DISTRIBUTED_TRANSPORT_RING_SCHEDULE_H_
 #define EGERIA_SRC_DISTRIBUTED_TRANSPORT_RING_SCHEDULE_H_
 
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "src/distributed/reduction_contract.h"
@@ -66,6 +71,28 @@ TransportStatus RingCirculate(Transport& transport, int start, SpanFn&& span_of,
     if (sent_bytes != nullptr) {
       *sent_bytes += c_send.bytes();
     }
+  }
+  return TransportStatus::Ok();
+}
+
+// Ring all-reduce of one trivially copyable value: at each of W-1 steps every
+// rank sends its accumulator to its successor, receives its predecessor's,
+// and sets *acc = combine(*acc, incoming). Each rank's accumulator grows by one
+// contribution per step, overlapping its neighbor's, so after W-1 steps every
+// rank holds the fold of all W values provided `combine` is commutative,
+// associative and idempotent (max, min, "lowest failing rank"). Every frame is
+// sizeof(T) bytes. On a transport error *acc holds a partial fold.
+template <class T, class CombineFn>
+TransportStatus RingReduce(Transport& transport, T* acc, CombineFn&& combine) {
+  static_assert(std::is_trivially_copyable_v<T>, "RingReduce sends raw bytes");
+  for (int step = 0; step + 1 < transport.World(); ++step) {
+    T incoming{};
+    TransportStatus st =
+        transport.RingExchange(acc, sizeof(T), &incoming, sizeof(T));
+    if (!st.ok()) {
+      return st;
+    }
+    *acc = combine(*acc, incoming);
   }
   return TransportStatus::Ok();
 }

@@ -1,6 +1,6 @@
 // Backward-overlapped bucketed reduction (overlap_reducer.h): the tentpole
 // bitwise contract. The overlapped per-stage bucket rounds must produce values,
-// gradients, and momentum bitwise-identical to the sequential full-space round
+// gradients, and momentum bitwise-identical to one whole-space round
 // — at worlds 2/3/4, over BOTH transport backends, with empty buckets, bucket
 // extents that do not divide by the world size, and (at harness level) mid-run
 // freeze/reshard. Also covers the failure path (a corrupt frame mid-overlap
@@ -30,6 +30,7 @@
 #include "src/distributed/transport/inproc_transport.h"
 #include "src/distributed/transport/integrity_transport.h"
 #include "src/distributed/transport/tcp_transport.h"
+#include "src/obs/metrics.h"
 #include "src/optim/sharded_optimizer.h"
 #include "src/util/rng.h"
 
@@ -127,7 +128,7 @@ std::vector<OverlapReducer::Bucket> StageBuckets(const std::vector<int64_t>& siz
 }
 
 // The core pin: several overlapped rounds (momentum accumulating across
-// rounds) against the sequential full-space rounds, every world size, both
+// rounds) against whole-space rounds, every world size, both
 // backends, with an empty bucket in the middle and a total (29) that no
 // tested world size divides.
 TEST(OverlapReducerBitwise, BucketRoundsMatchSequentialFullSpaceRounds) {
@@ -172,9 +173,10 @@ TEST(OverlapReducerBitwise, BucketRoundsMatchSequentialFullSpaceRounds) {
               ASSERT_TRUE(reducer.FinishRound().ok())
                   << TransportName(kind) << " world " << world;
             } else {
-              ASSERT_TRUE(ring.ReduceScatterAverage(grads, nullptr).ok());
+              ASSERT_TRUE(
+                  ring.ReduceScatterAverageRange(grads, 0, grads.NumEl()).ok());
               opt.Step(values, grads, shard.first, shard.second, lr);
-              ASSERT_TRUE(ring.AllGather(values).ok());
+              ASSERT_TRUE(ring.AllGatherRange(values, 0, values.NumEl()).ok());
             }
           }
           std::vector<float> v(static_cast<size_t>(values.NumEl()));
@@ -234,8 +236,14 @@ TEST(OverlapTrainer, FreezingRunBitwiseAcrossOverlapModesAndTransports) {
     const DistTrainResult ref =
         run(DistTrainConfig::Reducer::kSequentialReference, false,
             DistTrainConfig::TransportKind::kInproc);
+    obs::Counter& buckets = obs::GetCounter("comm.buckets");
+    const int64_t buckets_before = buckets.Get();
     const DistTrainResult seq = run(DistTrainConfig::Reducer::kRingSharded, false,
                                     DistTrainConfig::TransportKind::kInproc);
+    // overlap_comm=false is the one-bucket layout of the same round: one
+    // bucket per rank per iteration, through freezes and reshards, whatever
+    // overlap_min_bucket_elems says.
+    EXPECT_EQ(buckets.Get() - buckets_before, seq.iterations * world);
     const DistTrainResult ovl = run(DistTrainConfig::Reducer::kRingSharded, true,
                                     DistTrainConfig::TransportKind::kInproc);
     const DistTrainResult tcp = run(DistTrainConfig::Reducer::kRingSharded, true,

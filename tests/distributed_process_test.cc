@@ -128,19 +128,24 @@ TEST(DistributedProcess, TwoProcessWorldMatchesReferenceWithoutFreezing) {
   const DistTrainResult ref =
       TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg);
 
-  SpawnOptions options;
-  options.worker_binary = WorkerBinary();
-  options.world = world;
-  options.common_args = {"--workload=tiny", "--epochs=3"};
-  options.log_dir = MakeLogDir("tcp2");
-  options.timeout_s = 120.0;
-  const SpawnResult run = SpawnWorld(options);
-  ASSERT_TRUE(run.ok) << run.error;
-  const uint64_t hash0 = ParseHash(run.rank_results[0]);
-  EXPECT_EQ(hash0, ref.params_hash);
-  EXPECT_EQ(ParseHash(run.rank_results[1]), hash0);
-  if (!HasFailure()) {
-    RemoveLogDir(options, run);
+  // Both bucket layouts of the ZeRO-1 round: per stage (the default) and one
+  // bucket after backward.
+  for (const char* overlap : {"--overlap=1", "--overlap=0"}) {
+    SCOPED_TRACE(overlap);
+    SpawnOptions options;
+    options.worker_binary = WorkerBinary();
+    options.world = world;
+    options.common_args = {"--workload=tiny", "--epochs=3", overlap};
+    options.log_dir = MakeLogDir("tcp2");
+    options.timeout_s = 120.0;
+    const SpawnResult run = SpawnWorld(options);
+    ASSERT_TRUE(run.ok) << run.error;
+    const uint64_t hash0 = ParseHash(run.rank_results[0]);
+    EXPECT_EQ(hash0, ref.params_hash);
+    EXPECT_EQ(ParseHash(run.rank_results[1]), hash0);
+    if (!HasFailure()) {
+      RemoveLogDir(options, run);
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include "src/distributed/network_model.h"
 #include "src/distributed/reduction_contract.h"
 #include "src/distributed/transport/inproc_transport.h"
+#include "src/distributed/transport/ring_schedule.h"
 #include "src/distributed/transport/tcp_transport.h"
 #include "src/models/resnet.h"
 #include "src/optim/lr_scheduler.h"
@@ -228,6 +230,85 @@ TEST(Transport, BroadcastAndBarrierAgreeAcrossBackends) {
   }
 }
 
+// Counts the ring steps and bytes a wrapped transport carries.
+class CountingTransport : public Transport {
+ public:
+  explicit CountingTransport(Transport& base) : base_(base) {}
+  int Rank() const override { return base_.Rank(); }
+  int World() const override { return base_.World(); }
+  TransportStatus RingExchange(const void* send_buf, int64_t send_bytes,
+                               void* recv_buf, int64_t recv_bytes) override {
+    ++ring_steps;
+    ring_bytes += send_bytes;
+    return base_.RingExchange(send_buf, send_bytes, recv_buf, recv_bytes);
+  }
+  TransportStatus Barrier() override { return base_.Barrier(); }
+  TransportStatus Broadcast(const void* data, int64_t bytes,
+                            std::vector<uint8_t>* out) override {
+    return base_.Broadcast(data, bytes, out);
+  }
+  void LocalAbort(const TransportStatus& reason) override { base_.LocalAbort(reason); }
+
+  int ring_steps = 0;
+  int64_t ring_bytes = 0;
+
+ private:
+  Transport& base_;
+};
+
+// RingReduce folds one small value per rank around the ring: every rank ends
+// on the fold of all W contributions after W-1 steps of sizeof(T) bytes, for
+// both combines the runtime uses (the bucket agreement's max and the
+// checkpoint status's lowest failing rank).
+TEST(RingReduce, EveryRankHoldsTheFoldOfAllRanks) {
+  struct Status {
+    int32_t code = 0;
+    int32_t rank = -1;
+  };
+  const auto lowest_failure = [](Status a, Status b) {
+    return b.code != 0 && (a.code == 0 || b.rank < a.rank) ? b : a;
+  };
+  for (int world = 1; world <= 4; ++world) {
+    SCOPED_TRACE("world " + std::to_string(world));
+    std::vector<int32_t> maxes(static_cast<size_t>(world));
+    std::vector<Status> worst(static_cast<size_t>(world));
+    int32_t want_max = 0;
+    for (int r = 0; r < world; ++r) {
+      want_max = std::max(want_max, (r * 3 + 1) % 4);
+    }
+    RunWorld(TransportCase::kInproc, world, [&](int rank, Transport& base) {
+      CountingTransport transport(base);
+      // Contributions not monotone in rank: 1, 0, 3, 2.
+      int32_t m = (rank * 3 + 1) % 4;
+      ASSERT_TRUE(RingReduce(transport, &m, [](int32_t a, int32_t b) {
+                    return std::max(a, b);
+                  }).ok());
+      maxes[static_cast<size_t>(rank)] = m;
+      EXPECT_EQ(transport.ring_steps, world - 1);
+      EXPECT_EQ(transport.ring_bytes,
+                (world - 1) * static_cast<int64_t>(sizeof(int32_t)));
+      // Ranks 1 and W-1 fail, each with its own code: the fold keeps rank 1's
+      // entry (rank 0's at W=1), code and rank together.
+      Status st;
+      if (rank == 1 || rank == world - 1) {
+        st.code = 100 + rank;
+        st.rank = rank;
+      }
+      ASSERT_TRUE(RingReduce(transport, &st, lowest_failure).ok());
+      worst[static_cast<size_t>(rank)] = st;
+      EXPECT_EQ(transport.ring_steps, 2 * (world - 1));
+      EXPECT_EQ(transport.ring_bytes,
+                (world - 1) * static_cast<int64_t>(sizeof(int32_t) + sizeof(Status)));
+    });
+    const int32_t want_rank = world == 1 ? 0 : 1;
+    for (int r = 0; r < world; ++r) {
+      EXPECT_EQ(maxes[static_cast<size_t>(r)], want_max) << "rank " << r;
+      EXPECT_EQ(worst[static_cast<size_t>(r)].rank, want_rank) << "rank " << r;
+      EXPECT_EQ(worst[static_cast<size_t>(r)].code, 100 + want_rank) << "rank " << r;
+    }
+  }
+}
+
 // One "replica": a list of parameters with randomly filled gradients.
 using ParamSet = std::vector<std::unique_ptr<Parameter>>;
 
@@ -297,8 +378,8 @@ RingRunStats ReduceBothAndExpectBitwiseEqual(TransportCase kind, int world,
     RingAllReducer ring(transport);
     FlatParamView view(ring_lists[static_cast<size_t>(rank)],
                        FlatParamView::Field::kGrad);
-    ASSERT_TRUE(ring.ReduceScatterAverage(view, nullptr).ok());
-    ASSERT_TRUE(ring.AllGather(view).ok());
+    ASSERT_TRUE(ring.ReduceScatterAverageRange(view, 0, view.NumEl()).ok());
+    ASSERT_TRUE(ring.AllGatherRange(view, 0, view.NumEl()).ok());
     std::lock_guard<std::mutex> lock(stats_mutex);
     stats.wire_sum += ring.TotalWireBytes();
     if (rank == 0) {
@@ -408,11 +489,11 @@ TEST(RingAllReduce, WorldOneIsIdentity) {
   RingAllReducer ring(group.Get(0));
   auto list = Suffix(set, 0);
   FlatParamView view(list, FlatParamView::Field::kGrad);
-  std::pair<int64_t, int64_t> owned{-1, -1};
-  ASSERT_TRUE(ring.ReduceScatterAverage(view, &owned).ok());
-  ASSERT_TRUE(ring.AllGather(view).ok());
-  EXPECT_EQ(owned.first, 0);
-  EXPECT_EQ(owned.second, 7);
+  ASSERT_TRUE(ring.ReduceScatterAverageRange(view, 0, view.NumEl()).ok());
+  ASSERT_TRUE(ring.AllGatherRange(view, 0, view.NumEl()).ok());
+  const Span owned = ChunkSpan(view.NumEl(), 1, 0);
+  EXPECT_EQ(owned.begin, 0);
+  EXPECT_EQ(owned.end, 7);
   for (size_t p = 0; p < set.size(); ++p) {
     EXPECT_EQ(0, std::memcmp(set[p]->grad.Data(), orig[p]->grad.Data(),
                              static_cast<size_t>(set[p]->grad.NumEl()) * sizeof(float)));
@@ -659,6 +740,19 @@ TEST(DistResume, SameWorldResumeBitwiseMatchesUninterrupted) {
       << "resume diverged from the uninterrupted run";
   EXPECT_EQ(resumed.iterations, ref.iterations);
   std::filesystem::remove_all(dir);
+}
+
+// The star reference reducer does not checkpoint: a config that asks it to is
+// rejected at entry instead of silently running without saves.
+TEST(DistResumeDeathTest, ReferenceReducerRejectsCheckpointDir) {
+  DistWorkload w = MakeDistWorkload("tiny");
+  w.cfg.world = 2;
+  w.cfg.reducer = DistTrainConfig::Reducer::kSequentialReference;
+  w.cfg.ckpt.dir = MakeCkptDir("refckpt");
+  w.cfg.ckpt.interval_iters = 4;
+  EXPECT_DEATH(TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg),
+               "does not checkpoint");
+  std::filesystem::remove_all(w.cfg.ckpt.dir);
 }
 
 // Elastic restart: a world-4 checkpoint resumed at world 3. The saved momentum

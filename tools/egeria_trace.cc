@@ -470,8 +470,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     const int rank0 = ranks[0].rank;
-    // trainer.opt is absent in overlap mode (the optimizer steps on the comm
-    // thread inside comm.shard_step spans) — both sides then reconcile at ~0.
+    // trainer.opt is absent on the ring-sharded path (the optimizer steps on
+    // the comm thread inside comm.shard_step spans) — both sides then
+    // reconcile at ~0.
     const std::pair<const char*, const char*> phases[] = {
         {"trainer.data", "data_s"}, {"trainer.fp", "fp_s"},
         {"trainer.bp", "bp_s"},     {"trainer.opt", "opt_s"},

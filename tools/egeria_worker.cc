@@ -35,10 +35,10 @@
 //   --ckpt-keep=N           (complete checkpoints retained; default 2)
 //   --stop-after=N          (stop cleanly after N iterations, writing a final
 //       checkpoint — stages elastic-restart drills from the command line)
-//   --overlap=0|1           (overlap gradient communication with backward
-//       compute via per-stage buckets; default 1. Bitwise-identical results
-//       either way — 0 keeps the sequential round as the pin baseline. Every
-//       rank of a world must agree.)
+//   --overlap=0|1           (bucket layout of the ZeRO-1 round: 1 = per-stage
+//       buckets overlapping backward, the default; 0 = one bucket after
+//       backward. Bitwise-identical results either way. Every rank of a world
+//       must agree.)
 //   --async-ckpt=0|1        (background checkpoint writes with deferred
 //       manifest commit; default 1. Persisted state is bitwise-identical.)
 //   --connect-timeout=S --io-timeout=S

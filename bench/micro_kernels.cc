@@ -9,6 +9,7 @@
 
 #include "src/metrics/pwcca.h"
 #include "src/metrics/sp_loss.h"
+#include "src/nn/batchnorm.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/linear.h"
 #include "src/quant/quantized_modules.h"
@@ -106,6 +107,35 @@ void BM_ConvForwardFp16(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvForwardFp16);
+
+// Training-mode layer steps (forward + backward) at resnet50 stage-1 shapes:
+// batch 16, 16 channels, 16x16. Both run on the compute pool, so they report
+// wall time.
+void BM_BatchNorm2dTrain(benchmark::State& state) {
+  Rng rng(3);
+  BatchNorm2d bn("bn", 16);
+  Tensor x = Tensor::Randn({16, 16, 16, 16}, rng);
+  Tensor dy = Tensor::Randn({16, 16, 16, 16}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bn.Forward(x));
+    benchmark::DoNotOptimize(bn.Backward(dy));
+  }
+  state.SetItemsProcessed(state.iterations() * x.NumEl());
+}
+BENCHMARK(BM_BatchNorm2dTrain)->UseRealTime();
+
+void BM_Conv2dPointwise(benchmark::State& state) {
+  Rng rng(4);
+  Conv2d conv("c", 16, 16, 1, rng, /*stride=*/1, /*pad=*/0);
+  Tensor x = Tensor::Randn({16, 16, 16, 16}, rng);
+  Tensor dy = Tensor::Randn({16, 16, 16, 16}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.Forward(x));
+    benchmark::DoNotOptimize(conv.Backward(dy));
+  }
+  state.SetItemsProcessed(state.iterations() * x.NumEl());
+}
+BENCHMARK(BM_Conv2dPointwise)->UseRealTime();
 
 void BM_LinearForwardFloat(benchmark::State& state) {
   Rng rng(3);

@@ -23,6 +23,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Exit code of a rank's clean abort (it printed EGERIA_ABORT first).
+constexpr int kCleanAbortExitCode = 4;
+// After a clean abort, how long the survivors get to unwind, print their own
+// abort lines and exit on their own before they are killed.
+constexpr std::chrono::seconds kAbortGrace{2};
+
 void MakeDirs(const std::string& path) {
   std::string partial;
   std::istringstream parts(path);
@@ -131,6 +137,21 @@ SpawnResult SpawnWorld(const SpawnOptions& options) {
   int live = options.world;
   int failed_rank = -1;
 
+  auto record_exit = [&](pid_t pid, int status) {
+    for (int r = 0; r < options.world; ++r) {
+      if (pids[static_cast<size_t>(r)] != pid) {
+        continue;
+      }
+      const int code = WIFEXITED(status) ? WEXITSTATUS(status)
+                                         : 128 + (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+      result.exit_codes[static_cast<size_t>(r)] = code;
+      --live;
+      if (code != 0 && failed_rank < 0) {
+        failed_rank = r;
+      }
+    }
+  };
+
   auto kill_survivors = [&]() {
     for (int r = 0; r < options.world; ++r) {
       if (result.exit_codes[static_cast<size_t>(r)] == -1) {
@@ -177,19 +198,21 @@ SpawnResult SpawnWorld(const SpawnOptions& options) {
       continue;
     }
     EGERIA_CHECK_MSG(pid > 0, "waitpid failed");
-    for (int r = 0; r < options.world; ++r) {
-      if (pids[static_cast<size_t>(r)] != pid) {
-        continue;
-      }
-      const int code = WIFEXITED(status) ? WEXITSTATUS(status)
-                                         : 128 + (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
-      result.exit_codes[static_cast<size_t>(r)] = code;
-      --live;
-      if (code != 0 && failed_rank < 0) {
-        failed_rank = r;
-      }
-    }
+    record_exit(pid, status);
     if (failed_rank >= 0) {
+      // A clean abort was broadcast: the survivors are unwinding and report
+      // their own side of it, so give them a moment to exit on their own.
+      if (result.exit_codes[static_cast<size_t>(failed_rank)] == kCleanAbortExitCode) {
+        const auto grace_end = std::min(deadline, Clock::now() + kAbortGrace);
+        while (live > 0 && Clock::now() < grace_end) {
+          const pid_t exited = waitpid(-1, &status, WNOHANG);
+          if (exited > 0) {
+            record_exit(exited, status);
+          } else {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+          }
+        }
+      }
       // Fail fast: the survivors would only block in their collectives until
       // the transport deadline; kill them and report the root cause.
       kill_survivors();

@@ -6,7 +6,10 @@
 // fails the world FAST (the survivors are killed instead of blocking in their
 // collectives until the transport deadline), and a rank that wedges trips the
 // overall timeout, after which everything is killed and a clean, attributable
-// error string comes back — the launcher never hangs.
+// error string comes back — the launcher never hangs. One exception to "fast":
+// when the failed rank exited 4, a clean abort, the survivors are unwinding
+// from the same abort and first get up to 2 s to exit on their own, so their
+// logs keep their side of it.
 #ifndef EGERIA_SRC_DISTRIBUTED_PROCESS_LAUNCHER_H_
 #define EGERIA_SRC_DISTRIBUTED_PROCESS_LAUNCHER_H_
 

@@ -1,10 +1,104 @@
 #include "src/nn/batchnorm.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "src/tensor/compute_pool.h"
 #include "src/util/logging.h"
 
 namespace egeria {
+
+namespace {
+
+// The per-channel sums below read `planes` runs of n floats, run p starting at
+// x + p * stride, and add them in double into kLanes partial sums: element i of
+// a run goes to lane i % kLanes. The lanes are folded in one fixed order at the
+// end. The order of every addition therefore depends only on the shape, not on
+// the vector width the compiler picks nor on the thread that runs the channel
+// (an `omp simd reduction` would leave the order to the vector width).
+constexpr int64_t kLanes = 8;
+
+// Smallest number of elements worth handing to another pool thread.
+constexpr int64_t kGrainElements = int64_t{1} << 14;
+
+double FoldLanes(const double* acc) {
+  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
+// Sum of x over the runs.
+double SumF64(const float* x, int64_t planes, int64_t stride, int64_t n) {
+  double acc[kLanes] = {};
+  const int64_t body = n - n % kLanes;
+  for (int64_t p = 0; p < planes; ++p) {
+    const float* run = x + p * stride;
+    for (int64_t i = 0; i < body; i += kLanes) {
+#pragma omp simd
+      for (int64_t l = 0; l < kLanes; ++l) {
+        acc[l] += run[i + l];
+      }
+    }
+    for (int64_t l = 0; l < n - body; ++l) {
+      acc[l] += run[body + l];
+    }
+  }
+  return FoldLanes(acc);
+}
+
+// Sum of (x - mean)^2 over the runs.
+double SumSqDevF64(const float* x, int64_t planes, int64_t stride, int64_t n,
+                   double mean) {
+  double acc[kLanes] = {};
+  const int64_t body = n - n % kLanes;
+  for (int64_t p = 0; p < planes; ++p) {
+    const float* run = x + p * stride;
+    for (int64_t i = 0; i < body; i += kLanes) {
+#pragma omp simd
+      for (int64_t l = 0; l < kLanes; ++l) {
+        const double d = run[i + l] - mean;
+        acc[l] += d * d;
+      }
+    }
+    for (int64_t l = 0; l < n - body; ++l) {
+      const double d = run[body + l] - mean;
+      acc[l] += d * d;
+    }
+  }
+  return FoldLanes(acc);
+}
+
+// Sums of dy and of dy * xhat over the runs, in one pass.
+void SumDyAndDyXhatF64(const float* dy, const float* xhat, int64_t planes, int64_t stride,
+                       int64_t n, double* sum_dy, double* sum_dy_xhat) {
+  double acc_dy[kLanes] = {};
+  double acc_dyx[kLanes] = {};
+  const int64_t body = n - n % kLanes;
+  for (int64_t p = 0; p < planes; ++p) {
+    const float* dyr = dy + p * stride;
+    const float* xr = xhat + p * stride;
+    for (int64_t i = 0; i < body; i += kLanes) {
+#pragma omp simd
+      for (int64_t l = 0; l < kLanes; ++l) {
+        acc_dy[l] += dyr[i + l];
+        acc_dyx[l] += static_cast<double>(dyr[i + l]) * xr[i + l];
+      }
+    }
+    for (int64_t l = 0; l < n - body; ++l) {
+      acc_dy[l] += dyr[body + l];
+      acc_dyx[l] += static_cast<double>(dyr[body + l]) * xr[body + l];
+    }
+  }
+  *sum_dy = FoldLanes(acc_dy);
+  *sum_dy_xhat = FoldLanes(acc_dyx);
+}
+
+// Channels per pool chunk: enough that a chunk holds kGrainElements, so small
+// layers stay on the calling thread. Each channel's arithmetic is independent
+// of the partition, so any grain gives the same bits.
+int64_t ChannelGrain(int64_t channel_elements) {
+  return (kGrainElements + channel_elements - 1) / std::max<int64_t>(channel_elements, 1);
+}
+
+}  // namespace
 
 BatchNorm2d::BatchNorm2d(std::string name, int64_t channels, float momentum, float eps)
     : Module(std::move(name)), channels_(channels), momentum_(momentum), eps_(eps) {
@@ -21,135 +115,143 @@ Tensor BatchNorm2d::Forward(const Tensor& input) {
   const int64_t w = input.Size(3);
   const int64_t hw = h * w;
   const int64_t count = b * hw;
+  const int64_t stride = channels_ * hw;
   cached_b_ = b;
   cached_h_ = h;
   cached_w_ = w;
 
-  Tensor out(input.Shape());
+  // Every element of out, cached_xhat_ and cached_inv_std_ is written below.
+  Tensor out = Tensor::Uninitialized(input.Shape());
   used_batch_stats_ = UseBatchStats();
-  cached_inv_std_ = Tensor({channels_});
-
-  if (used_batch_stats_) {
-    cached_xhat_ = Tensor(input.Shape());
-    for (int64_t c = 0; c < channels_; ++c) {
-      double mean = 0.0;
-      for (int64_t bi = 0; bi < b; ++bi) {
-        const float* plane = input.Data() + (bi * channels_ + c) * hw;
-        for (int64_t i = 0; i < hw; ++i) {
-          mean += plane[i];
-        }
-      }
-      mean /= static_cast<double>(count);
-      double var = 0.0;
-      for (int64_t bi = 0; bi < b; ++bi) {
-        const float* plane = input.Data() + (bi * channels_ + c) * hw;
-        for (int64_t i = 0; i < hw; ++i) {
-          const double d = plane[i] - mean;
-          var += d * d;
-        }
-      }
-      var /= static_cast<double>(count);
-      const float inv_std = 1.0F / std::sqrt(static_cast<float>(var) + eps_);
-      cached_inv_std_.At(c) = inv_std;
-      running_mean_.At(c) =
-          (1.0F - momentum_) * running_mean_.At(c) + momentum_ * static_cast<float>(mean);
-      running_var_.At(c) =
-          (1.0F - momentum_) * running_var_.At(c) + momentum_ * static_cast<float>(var);
-      const float g = gamma_.value.At(c);
-      const float bt = beta_.value.At(c);
-      for (int64_t bi = 0; bi < b; ++bi) {
-        const float* plane = input.Data() + (bi * channels_ + c) * hw;
-        float* xh = cached_xhat_.Data() + (bi * channels_ + c) * hw;
-        float* op = out.Data() + (bi * channels_ + c) * hw;
-        for (int64_t i = 0; i < hw; ++i) {
-          const float xhat = (plane[i] - static_cast<float>(mean)) * inv_std;
-          xh[i] = xhat;
-          op[i] = g * xhat + bt;
-        }
-      }
-    }
-  } else {
-    // Inference / frozen path: running statistics. Output is a pure function of the
-    // input, which makes frozen-prefix activations cacheable.
-    for (int64_t c = 0; c < channels_; ++c) {
-      const float mean = running_mean_.At(c);
-      const float inv_std = 1.0F / std::sqrt(running_var_.At(c) + eps_);
-      cached_inv_std_.At(c) = inv_std;
-      const float g = gamma_.value.At(c);
-      const float bt = beta_.value.At(c);
-      for (int64_t bi = 0; bi < b; ++bi) {
-        const float* plane = input.Data() + (bi * channels_ + c) * hw;
-        float* op = out.Data() + (bi * channels_ + c) * hw;
-        for (int64_t i = 0; i < hw; ++i) {
-          op[i] = g * (plane[i] - mean) * inv_std + bt;
-        }
-      }
-    }
-    if (training_) {
-      // xhat is still needed if Backward gets called on a running-stats forward.
-      cached_xhat_ = Tensor(input.Shape());
-      for (int64_t c = 0; c < channels_; ++c) {
-        const float mean = running_mean_.At(c);
-        const float inv_std = cached_inv_std_.At(c);
-        for (int64_t bi = 0; bi < b; ++bi) {
-          const float* plane = input.Data() + (bi * channels_ + c) * hw;
-          float* xh = cached_xhat_.Data() + (bi * channels_ + c) * hw;
-          for (int64_t i = 0; i < hw; ++i) {
-            xh[i] = (plane[i] - mean) * inv_std;
-          }
-        }
-      }
-    }
+  cached_inv_std_ = Tensor::Uninitialized({channels_});
+  // xhat is still needed if Backward gets called on a running-stats forward.
+  const bool keep_xhat = used_batch_stats_ || training_;
+  if (keep_xhat) {
+    cached_xhat_ = Tensor::Uninitialized(input.Shape());
   }
+
+  const float* x = input.Data();
+  float* op = out.Data();
+  float* xh = keep_xhat ? cached_xhat_.Data() : nullptr;
+  float* inv_stdp = cached_inv_std_.Data();
+  float* rmean = running_mean_.Data();
+  float* rvar = running_var_.Data();
+  const float* gp = gamma_.value.Data();
+  const float* bp = beta_.value.Data();
+
+  const auto run_channel = [&](int64_t c) {
+    const float g = gp[c];
+    const float bt = bp[c];
+    if (used_batch_stats_) {
+      const double mean = SumF64(x + c * hw, b, stride, hw) / static_cast<double>(count);
+      const double var =
+          SumSqDevF64(x + c * hw, b, stride, hw, mean) / static_cast<double>(count);
+      const float inv_std = 1.0F / std::sqrt(static_cast<float>(var) + eps_);
+      inv_stdp[c] = inv_std;
+      rmean[c] = (1.0F - momentum_) * rmean[c] + momentum_ * static_cast<float>(mean);
+      rvar[c] = (1.0F - momentum_) * rvar[c] + momentum_ * static_cast<float>(var);
+      const float mean_f = static_cast<float>(mean);
+      for (int64_t bi = 0; bi < b; ++bi) {
+        const int64_t off = bi * stride + c * hw;
+        const float* plane = x + off;
+        float* xplane = xh + off;
+        float* oplane = op + off;
+#pragma omp simd
+        for (int64_t i = 0; i < hw; ++i) {
+          const float xhat = (plane[i] - mean_f) * inv_std;
+          xplane[i] = xhat;
+          oplane[i] = g * xhat + bt;
+        }
+      }
+      return;
+    }
+    // Inference / frozen path: running statistics. Output is a pure function of
+    // the input, which makes frozen-prefix activations cacheable.
+    const float mean = rmean[c];
+    const float inv_std = 1.0F / std::sqrt(rvar[c] + eps_);
+    inv_stdp[c] = inv_std;
+    for (int64_t bi = 0; bi < b; ++bi) {
+      const int64_t off = bi * stride + c * hw;
+      const float* plane = x + off;
+      float* oplane = op + off;
+#pragma omp simd
+      for (int64_t i = 0; i < hw; ++i) {
+        oplane[i] = g * (plane[i] - mean) * inv_std + bt;
+      }
+      if (xh != nullptr) {
+        float* xplane = xh + off;
+#pragma omp simd
+        for (int64_t i = 0; i < hw; ++i) {
+          xplane[i] = (plane[i] - mean) * inv_std;
+        }
+      }
+    }
+  };
+  ParallelFor(channels_, ChannelGrain(count), [&](int64_t lo, int64_t hi) {
+    for (int64_t c = lo; c < hi; ++c) {
+      run_channel(c);
+    }
+  });
   return out;
 }
 
 Tensor BatchNorm2d::Backward(const Tensor& grad_output) {
   EGERIA_CHECK_MSG(cached_xhat_.Defined(), name_ + ": Backward without Forward");
+  EGERIA_CHECK(grad_output.NumEl() == cached_xhat_.NumEl());
   const int64_t b = cached_b_;
   const int64_t hw = cached_h_ * cached_w_;
   const int64_t count = b * hw;
-  Tensor grad_in(grad_output.Shape());
+  const int64_t stride = channels_ * hw;
+  // Every element is written below.
+  Tensor grad_in = Tensor::Uninitialized(grad_output.Shape());
 
-  for (int64_t c = 0; c < channels_; ++c) {
-    const float inv_std = cached_inv_std_.At(c);
-    const float g = gamma_.value.At(c);
+  const float* dyp = grad_output.Data();
+  const float* xhp = cached_xhat_.Data();
+  float* dxp = grad_in.Data();
+  const float* inv_stdp = cached_inv_std_.Data();
+  const float* gp = gamma_.value.Data();
+  float* dgamma = gamma_.grad.Data();
+  float* dbeta = beta_.grad.Data();
+
+  const auto run_channel = [&](int64_t c) {
     double sum_dy = 0.0;
     double sum_dy_xhat = 0.0;
-    for (int64_t bi = 0; bi < b; ++bi) {
-      const float* dy = grad_output.Data() + (bi * channels_ + c) * hw;
-      const float* xh = cached_xhat_.Data() + (bi * channels_ + c) * hw;
-      for (int64_t i = 0; i < hw; ++i) {
-        sum_dy += dy[i];
-        sum_dy_xhat += static_cast<double>(dy[i]) * xh[i];
-      }
-    }
-    gamma_.grad.At(c) += static_cast<float>(sum_dy_xhat);
-    beta_.grad.At(c) += static_cast<float>(sum_dy);
-
+    SumDyAndDyXhatF64(dyp + c * hw, xhp + c * hw, b, stride, hw, &sum_dy, &sum_dy_xhat);
+    dgamma[c] += static_cast<float>(sum_dy_xhat);
+    dbeta[c] += static_cast<float>(sum_dy);
+    const float scale = gp[c] * inv_stdp[c];
     if (used_batch_stats_) {
       const float mean_dy = static_cast<float>(sum_dy / count);
       const float mean_dy_xhat = static_cast<float>(sum_dy_xhat / count);
       for (int64_t bi = 0; bi < b; ++bi) {
-        const float* dy = grad_output.Data() + (bi * channels_ + c) * hw;
-        const float* xh = cached_xhat_.Data() + (bi * channels_ + c) * hw;
-        float* dx = grad_in.Data() + (bi * channels_ + c) * hw;
+        const int64_t off = bi * stride + c * hw;
+        const float* dy = dyp + off;
+        const float* xh = xhp + off;
+        float* dx = dxp + off;
+#pragma omp simd
         for (int64_t i = 0; i < hw; ++i) {
-          dx[i] = g * inv_std * (dy[i] - mean_dy - xh[i] * mean_dy_xhat);
+          dx[i] = scale * (dy[i] - mean_dy - xh[i] * mean_dy_xhat);
         }
       }
-    } else {
-      // Running-stats path: the normalization constants are independent of the batch,
-      // so the layer is a per-channel affine map.
-      for (int64_t bi = 0; bi < b; ++bi) {
-        const float* dy = grad_output.Data() + (bi * channels_ + c) * hw;
-        float* dx = grad_in.Data() + (bi * channels_ + c) * hw;
-        for (int64_t i = 0; i < hw; ++i) {
-          dx[i] = g * inv_std * dy[i];
-        }
+      return;
+    }
+    // Running-stats path: the normalization constants are independent of the
+    // batch, so the layer is a per-channel affine map.
+    for (int64_t bi = 0; bi < b; ++bi) {
+      const int64_t off = bi * stride + c * hw;
+      const float* dy = dyp + off;
+      float* dx = dxp + off;
+#pragma omp simd
+      for (int64_t i = 0; i < hw; ++i) {
+        dx[i] = scale * dy[i];
       }
     }
-  }
+  };
+  ParallelFor(channels_, ChannelGrain(count), [&](int64_t lo, int64_t hi) {
+    for (int64_t c = lo; c < hi; ++c) {
+      run_channel(c);
+    }
+  });
   return grad_in;
 }
 

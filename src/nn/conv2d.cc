@@ -44,7 +44,10 @@ Tensor Conv2d::Forward(const Tensor& input) {
   in_w_ = input.Size(3);
   const int64_t oh = geom_.OutH(in_h_);
   const int64_t ow = geom_.OutW(in_w_);
-  Tensor cols = Im2Col(input, geom_);  // [b, ckk, ohow]
+  // [b, ckk, ohow]. A pointwise conv's columns are its input; Backward then
+  // relies on the caller not mutating the input after Forward.
+  Tensor cols = IsPointwise(geom_) ? input.Reshape({batch_, in_channels_, in_h_ * in_w_})
+                                   : Im2Col(input, geom_);
   if (training_) {
     cached_cols_ = cols;
   }
@@ -166,7 +169,9 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
       }
     }
   }
-  return Col2Im(dcols, geom_, in_channels_, in_h_, in_w_);
+  // A pointwise conv's column gradient already is its input gradient.
+  return IsPointwise(geom_) ? dcols.Reshape({batch_, in_channels_, in_h_, in_w_})
+                            : Col2Im(dcols, geom_, in_channels_, in_h_, in_w_);
 }
 
 std::vector<Parameter*> Conv2d::LocalParams() {

@@ -1,5 +1,7 @@
-// 2-d convolution layers (NCHW), lowered to im2col + GEMM. DepthwiseConv2d is the
-// per-channel variant used by MobileNetV2's inverted residual blocks.
+// 2-d convolution layers (NCHW), lowered to im2col + GEMM; a pointwise conv
+// (IsPointwise) uses its input as the column matrix and skips im2col/col2im.
+// DepthwiseConv2d is the per-channel variant used by MobileNetV2's inverted
+// residual blocks.
 #ifndef EGERIA_SRC_NN_CONV2D_H_
 #define EGERIA_SRC_NN_CONV2D_H_
 
@@ -41,7 +43,7 @@ class Conv2d : public Module {
   bool has_bias_;
   Parameter weight_;  // [out_c, in_c*kh*kw] (GEMM layout)
   Parameter bias_;    // [out_c]
-  Tensor cached_cols_;  // im2col of the last input, kept for Backward
+  Tensor cached_cols_;  // im2col of the last input (the input itself if pointwise)
   int64_t in_h_ = 0;
   int64_t in_w_ = 0;
   int64_t batch_ = 0;

@@ -101,12 +101,18 @@ Tensor QuantConv2d::Forward(const Tensor& input) {
   // Batch items are independent; each chunk gathers into its own scratch. With
   // fewer items than threads, run items serially so the int8 kernel's internal
   // row parallelism can use the whole pool instead.
+  // A pointwise conv's quantized image is its own column matrix: no gather.
+  const bool pointwise = IsPointwise(geom_);
   const auto run_items = [&](int64_t lo, int64_t hi) {
-    std::vector<int8_t> colq(static_cast<size_t>(ckk * ohow));
+    std::vector<int8_t> colq(pointwise ? 0 : static_cast<size_t>(ckk * ohow));
     for (int64_t bi = lo; bi < hi; ++bi) {
-      Im2ColItemI8(xq.data() + bi * chw, in_channels_, h, w, geom_, colq.data());
-      Int8GemmWeightLhs(weights_, colq.data(), scale, biasp,
-                        outp + bi * out_channels_ * ohow, ohow);
+      const int8_t* item = xq.data() + bi * chw;
+      if (!pointwise) {
+        Im2ColItemI8(item, in_channels_, h, w, geom_, colq.data());
+        item = colq.data();
+      }
+      Int8GemmWeightLhs(weights_, item, scale, biasp, outp + bi * out_channels_ * ohow,
+                        ohow);
     }
   };
   if (b >= ComputePoolThreads()) {
@@ -199,7 +205,9 @@ Tensor Fp16Conv2d::Forward(const Tensor& input) {
   const int64_t oh = geom_.OutH(input.Size(2));
   const int64_t ow = geom_.OutW(input.Size(3));
   const int64_t ohow = oh * ow;
-  Tensor cols = Im2Col(input, geom_);
+  Tensor cols = IsPointwise(geom_)
+                    ? input.Reshape({b, in_channels_, input.Size(2) * input.Size(3)})
+                    : Im2Col(input, geom_);
   const int64_t ckk = cols.Size(1);
   Tensor out = Tensor::Uninitialized({b, out_channels_, oh, ow});
   const float* colsp = cols.Data();

@@ -4,7 +4,8 @@
 // multithreaded Gemm dispatch in src/tensor/gemm.h (layers call it directly for
 // per-sample matmuls on subranges of batched tensors without materializing
 // slices); convolution lowers to im2col + GEMM (the standard CPU formulation, and
-// the one the int8 kernels mirror).
+// the one the int8 kernels mirror), except pointwise convolutions, whose input
+// already is the column matrix (IsPointwise below).
 #ifndef EGERIA_SRC_TENSOR_TENSOR_OPS_H_
 #define EGERIA_SRC_TENSOR_TENSOR_OPS_H_
 
@@ -43,6 +44,15 @@ struct ConvGeom {
     return (w + 2 * pad - dilation * (kernel_w - 1) - 1) / stride + 1;
   }
 };
+
+// A 1x1, stride-1, unpadded, undilated window. For it im2col and col2im are
+// the identity: the input [b,c,h,w] already is its columns [b, c, h*w], so the
+// convolutions use it in place of Im2Col's copy and write their input gradient
+// directly instead of going through Col2Im.
+inline bool IsPointwise(const ConvGeom& g) {
+  return g.kernel_h == 1 && g.kernel_w == 1 && g.stride == 1 && g.pad == 0 &&
+         g.dilation == 1;
+}
 
 // input [b,c,h,w] -> columns [b, c*kh*kw, oh*ow].
 Tensor Im2Col(const Tensor& input, const ConvGeom& geom);

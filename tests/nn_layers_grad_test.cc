@@ -76,7 +76,10 @@ INSTANTIATE_TEST_SUITE_P(ConvGeometries, ConvGradTest,
                                            ConvCase{4, 4, 1, 1, 0, 1},
                                            ConvCase{3, 2, 3, 1, 2, 2},
                                            ConvCase{2, 3, 5, 1, 2, 1},
-                                           ConvCase{1, 6, 3, 2, 0, 1}));
+                                           ConvCase{1, 6, 3, 2, 0, 1},
+                                           // 1x1 but not pointwise: these keep im2col.
+                                           ConvCase{3, 4, 1, 2, 0, 1},
+                                           ConvCase{3, 4, 1, 1, 1, 1}));
 
 TEST(GradCheck, DepthwiseConv) {
   Rng rng(8);

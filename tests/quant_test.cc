@@ -3,8 +3,10 @@
 // Table 2 depends on: an int8 reference stays semantically close to the model).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "src/models/chain_model.h"
 #include "src/models/resnet.h"
@@ -13,6 +15,7 @@
 #include "src/nn/linear.h"
 #include "src/quant/quantize.h"
 #include "src/quant/quantized_modules.h"
+#include "src/tensor/tensor_ops.h"
 #include "src/util/rng.h"
 
 namespace egeria {
@@ -123,6 +126,68 @@ TEST(Fp16Conv2d, MatchesFloatClosely) {
   for (int64_t i = 0; i < yf.NumEl(); ++i) {
     EXPECT_NEAR(yh.Data()[i], yf.Data()[i], 0.02F * std::max(1.0F, yf.AbsMax()));
   }
+}
+
+// Pointwise convs skip the im2col gather: the input (its quantized bytes for
+// int8) already is the column matrix. Both must equal the gathered path bit for
+// bit.
+TEST(QuantConv2d, PointwiseMatchesIm2ColPathBitwise) {
+  Rng rng(61);
+  Conv2d fp("conv", 5, 6, 1, rng, /*stride=*/1, /*pad=*/0, /*dilation=*/1, /*bias=*/true);
+  ASSERT_TRUE(IsPointwise(fp.geom()));
+  for (int64_t i = 0; i < 6; ++i) {
+    fp.mutable_bias().value.Data()[i] = rng.NextGaussian();
+  }
+  QuantConv2d q(fp, QuantMode::kDynamic);
+  const int64_t b = 3;
+  const int64_t hw = 4 * 7;
+  Tensor x = Tensor::Randn({b, 5, 4, 7}, rng);
+  Tensor got = q.Forward(x);
+
+  const float scale = ActivationScale(x.Data(), x.NumEl());
+  std::vector<int8_t> xq(static_cast<size_t>(x.NumEl()));
+  QuantizeActivations(x.Data(), xq.data(), x.NumEl(), scale);
+  const QuantizedWeights w = QuantizeWeightsPerChannel(fp.weight().value);
+  std::vector<int8_t> cols(static_cast<size_t>(5 * hw));
+  Tensor want({b, 6, 4, 7});
+  for (int64_t bi = 0; bi < b; ++bi) {
+    Im2ColItemI8(xq.data() + bi * 5 * hw, 5, 4, 7, fp.geom(), cols.data());
+    Int8GemmWeightLhs(w, cols.data(), scale, fp.bias().value.Data(),
+                      want.Data() + bi * 6 * hw, hw);
+  }
+  EXPECT_EQ(std::memcmp(got.Data(), want.Data(), sizeof(float) * want.NumEl()), 0);
+}
+
+TEST(Fp16Conv2d, PointwiseMatchesIm2ColPathBitwise) {
+  Rng rng(62);
+  Conv2d fp("conv", 5, 6, 1, rng, /*stride=*/1, /*pad=*/0, /*dilation=*/1, /*bias=*/true);
+  ASSERT_TRUE(IsPointwise(fp.geom()));
+  for (int64_t i = 0; i < 6; ++i) {
+    fp.mutable_bias().value.Data()[i] = rng.NextGaussian();
+  }
+  Fp16Conv2d h(fp);
+  const int64_t b = 3;
+  const int64_t hw = 4 * 7;
+  Tensor x = Tensor::Randn({b, 5, 4, 7}, rng);
+  Tensor got = h.Forward(x);
+
+  std::vector<_Float16> w16(static_cast<size_t>(fp.weight().value.NumEl()));
+  for (size_t i = 0; i < w16.size(); ++i) {
+    w16[i] = static_cast<_Float16>(fp.weight().value.Data()[i]);
+  }
+  Tensor cols = Im2Col(x, fp.geom());
+  Tensor want({b, 6, 4, 7});
+  for (int64_t bi = 0; bi < b; ++bi) {
+    float* o = want.Data() + bi * 6 * hw;
+    Gemm(w16.data(), cols.Data() + bi * 5 * hw, o, 6, 5, hw, /*trans_a=*/false,
+         /*trans_b=*/false, /*accumulate=*/false);
+    for (int64_t oc = 0; oc < 6; ++oc) {
+      for (int64_t j = 0; j < hw; ++j) {
+        o[oc * hw + j] += fp.bias().value.Data()[oc];
+      }
+    }
+  }
+  EXPECT_EQ(std::memcmp(got.Data(), want.Data(), sizeof(float) * want.NumEl()), 0);
 }
 
 TEST(Factories, PrecisionDispatch) {

@@ -3,10 +3,12 @@
 // On-disk layout (one root directory per run):
 //   <root>/step_000000056/          one complete snapshot at iteration 56
 //     model.state                   model state dict (+ rank-0 optimizer state)
-//     trainer.state                 loop cursors (iter, frontier, bootstrap, ...)
-//     controller.state              freezing policy + reference snapshot (Egeria)
+//     controller.state              bootstrap monitor, freezing policy and
+//                                   reference snapshot (Egeria)
 //     shard_r0.state ...            per-rank ZeRO-1 momentum shards (distributed)
-//     MANIFEST                      commit record: header kv + per-file checksums
+//     MANIFEST                      commit record: header kv (the loop cursors
+//                                   iter, frontier, next_frontier) + per-file
+//                                   checksums
 //
 // Commit protocol: every data file is written first (each writer owns its
 // file; distributed ranks write their shard, then barrier), and only then is

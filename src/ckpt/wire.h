@@ -1,6 +1,6 @@
 // Tiny POD-stream helpers for the checkpoint subsystem's binary state blobs
-// (freezing-policy state, controller state, trainer cursors, optimizer
-// shards). Little-endian host representation, same as the tensor serializer
+// (freezing-policy state, controller state, optimizer shards).
+// Little-endian host representation, same as the tensor serializer
 // and the TCP transport frames: checkpoints are host-local artifacts, and a
 // cross-architecture restore fails loudly at the magic/size checks.
 #ifndef EGERIA_SRC_CKPT_WIRE_H_

@@ -45,13 +45,14 @@ struct EgeriaConfig {
   Precision reference_precision = Precision::kInt8;
   QuantMode quant_mode = QuantMode::kStatic;
 
-  // Forward precision for frozen-prefix stages (single-process Trainer only;
-  // the distributed harness does not apply it). A frozen stage's forward is
-  // input-deterministic and its parameters fixed, so it can run through the
-  // same reduced-precision kernels as the reference model; kFloat16 halves the
-  // frozen prefix's weight bandwidth on cache-miss iterations. kFloat32 (the
-  // default) keeps the exact pre-freeze forward. Also ignored by models that
-  // do not support forward substitution (e.g. the encoder-decoder Transformer).
+  // Forward precision for frozen-prefix stages, in Trainer and TrainRank
+  // alike (both move the frontier through ApplyFrontier). A frozen stage's
+  // forward is input-deterministic and its parameters fixed, so it can run
+  // through the same reduced-precision kernels as the reference model;
+  // kFloat16 halves the frozen prefix's weight bandwidth on cache-miss
+  // iterations. kFloat32 (the default) keeps the exact pre-freeze forward.
+  // Ignored by models that do not support forward substitution (e.g. the
+  // encoder-decoder Transformer).
   Precision frozen_prefix_precision = Precision::kFloat32;
 
   // Update the reference model from a fresh snapshot every this many plasticity

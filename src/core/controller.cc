@@ -1,5 +1,6 @@
 #include "src/core/controller.h"
 
+#include <cmath>
 #include <functional>
 #include <utility>
 
@@ -58,9 +59,67 @@ std::vector<FreezeDecision> EgeriaController::DrainDecisions() {
   return out;
 }
 
-std::optional<FreezeDecision> EgeriaController::OnLr(float lr, int64_t iter) {
+std::vector<FreezeDecision> EgeriaController::TakeDecisions(float lr, int64_t iter) {
+  if (!cfg_.async_controller) {
+    RunPendingSync();
+  }
+  std::vector<FreezeDecision> out = DrainDecisions();
   std::lock_guard<std::mutex> lock(policy_mutex_);
-  return policy_.OnLr(lr, iter);
+  if (auto d = policy_.OnLr(lr, iter)) {
+    out.push_back(*d);
+  }
+  return out;
+}
+
+void EgeriaController::MaybeSnapshot(const ChainModel& model) {
+  if (InKnowledgeStage() && WantsSnapshot()) {
+    InferenceFactory float_factory;
+    SubmitSnapshot(model.CloneForInference(float_factory));
+  }
+}
+
+bool EgeriaController::MaybeSubmitEval(const ChainModel& model, const Batch& batch,
+                                       int frontier, float lr, int64_t iter) {
+  if (!InKnowledgeStage() || iter % cfg_.eval_interval_n != 0 ||
+      frontier >= model.NumStages() - cfg_.protected_tail) {
+    return false;  // Bootstrapping, off-interval, or nothing left that may freeze.
+  }
+  EvalRequest req;
+  req.batch = batch;
+  req.train_act = model.StageOutput(frontier);
+  req.stage = frontier;
+  req.lr = lr;
+  req.iter = iter;
+  return SubmitEval(std::move(req));
+}
+
+void EgeriaController::UpdateBootstrap(double loss, int64_t iter) {
+  if (InKnowledgeStage()) {
+    return;
+  }
+  // Change rate of the window-averaged training loss, sampled every n iterations
+  // (paper: permissively 10%). Entering the knowledge-guided stage triggers the
+  // first reference snapshot.
+  bootstrap_window_sum_ += loss;
+  ++bootstrap_window_count_;
+  if (cfg_.max_bootstrap_iters >= 0 && iter >= cfg_.max_bootstrap_iters) {
+    bootstrap_end_iter_ = iter;
+    return;
+  }
+  if (iter % cfg_.eval_interval_n != 0) {
+    return;
+  }
+  const double avg = bootstrap_window_sum_ / static_cast<double>(bootstrap_window_count_);
+  bootstrap_window_sum_ = 0.0;
+  bootstrap_window_count_ = 0;
+  if (bootstrap_prev_avg_ > 0.0) {
+    const double rate = std::abs(bootstrap_prev_avg_ - avg) / bootstrap_prev_avg_;
+    if (rate < cfg_.bootstrap_change_rate) {
+      bootstrap_end_iter_ = iter;
+      EGERIA_LOG(kDebug) << "bootstrapping stage ended at iter " << iter;
+    }
+  }
+  bootstrap_prev_avg_ = avg;
 }
 
 void EgeriaController::RunPendingSync() {
@@ -115,7 +174,7 @@ void EgeriaController::BuildReference(std::unique_ptr<ChainModel> snapshot) {
 
 namespace {
 constexpr uint32_t kControllerMagic = 0x4F434745;  // 'EGCO'
-constexpr uint32_t kControllerVersion = 1;
+constexpr uint32_t kControllerVersion = 2;
 
 // DFS over the model's stage modules, visiting every quantized leaf of the
 // reference model in a deterministic order. Rebuilding the reference from the
@@ -157,6 +216,10 @@ void EgeriaController::SaveState(std::ostream& os) {
   }
   wire::Write(os, kControllerMagic);
   wire::Write(os, kControllerVersion);
+  wire::Write(os, bootstrap_prev_avg_);
+  wire::Write(os, bootstrap_window_sum_);
+  wire::Write(os, bootstrap_window_count_);
+  wire::Write(os, bootstrap_end_iter_);
   {
     std::lock_guard<std::mutex> lock(policy_mutex_);
     policy_.SaveState(os);
@@ -213,6 +276,11 @@ bool EgeriaController::RestoreState(
   if (!wire::Read(is, magic) || magic != kControllerMagic || !wire::Read(is, version) ||
       version != kControllerVersion) {
     EGERIA_LOG(kError) << "controller state: bad header";
+    return false;
+  }
+  if (!wire::Read(is, bootstrap_prev_avg_) || !wire::Read(is, bootstrap_window_sum_) ||
+      !wire::Read(is, bootstrap_window_count_) || !wire::Read(is, bootstrap_end_iter_)) {
+    EGERIA_LOG(kError) << "controller state: truncated bootstrap monitor";
     return false;
   }
   {

@@ -11,6 +11,13 @@
 // The worker never blocks: submissions are try-push (a dropped evaluation is just a
 // skipped periodic sample), and decisions are drained opportunistically each
 // iteration. Synchronous mode runs the same code inline for deterministic tests.
+//
+// Both training loops (Trainer, and TrainRank on rank 0) drive the controller
+// through the same four per-iteration duties, called in this relative order:
+// TakeDecisions, MaybeSnapshot, MaybeSubmitEval, UpdateBootstrap. The last one
+// is the bootstrapping monitor (paper S4.2.2): no snapshot or evaluation is
+// taken until the training-loss change rate falls below bootstrap_change_rate
+// (or max_bootstrap_iters passes).
 #ifndef EGERIA_SRC_CORE_CONTROLLER_H_
 #define EGERIA_SRC_CORE_CONTROLLER_H_
 
@@ -53,7 +60,33 @@ class EgeriaController {
   EgeriaController(const EgeriaController&) = delete;
   EgeriaController& operator=(const EgeriaController&) = delete;
 
-  // ---- Worker-side API ----
+  // ---- Per-iteration duties (training thread) ----
+
+  // Decision intake: in synchronous mode first runs the queued snapshot/eval
+  // work inline; then returns the decisions produced since the last call,
+  // followed by the LR-based unfreeze check's, in the order to apply them.
+  std::vector<FreezeDecision> TakeDecisions(float lr, int64_t iter);
+
+  // Submits a float snapshot of `model` (the paper's GPU->CPU copy) when the
+  // knowledge-guided stage has begun and the controller wants one.
+  void MaybeSnapshot(const ChainModel& model);
+
+  // Queues a plasticity evaluation of stage `frontier` on this iteration's
+  // forward pass: every eval_interval_n iterations of the knowledge-guided
+  // stage, while a stage outside protected_tail is still active. Returns
+  // whether the evaluation was queued.
+  bool MaybeSubmitEval(const ChainModel& model, const Batch& batch, int frontier,
+                       float lr, int64_t iter);
+
+  // Bootstrapping monitor, fed each iteration's training loss until the
+  // knowledge-guided stage begins: the change rate of the loss averaged over
+  // windows of eval_interval_n iterations, or the max_bootstrap_iters cap.
+  void UpdateBootstrap(double loss, int64_t iter);
+  // Iteration the bootstrapping stage ended at; -1 while it lasts.
+  int64_t BootstrapEndIter() const { return bootstrap_end_iter_; }
+  bool InKnowledgeStage() const { return bootstrap_end_iter_ >= 0; }
+
+  // ---- Worker-side primitives ----
 
   // Hands over a float snapshot of the training model; the controller quantizes it
   // into the reference (paper: snapshot moved off-GPU, then int8 PTQ on CPU).
@@ -69,9 +102,6 @@ class EgeriaController {
   // Decisions produced since the last drain (freeze + unfreeze).
   std::vector<FreezeDecision> DrainDecisions();
 
-  // LR-based unfreeze check; cheap, called by the worker every iteration.
-  std::optional<FreezeDecision> OnLr(float lr, int64_t iter);
-
   // Synchronous mode only: process all queued snapshots/evals inline.
   void RunPendingSync();
 
@@ -85,8 +115,8 @@ class EgeriaController {
   double LastQuantizeSeconds() const { return last_quantize_seconds_.load(); }
 
   // ---- Checkpoint support ----
-  // Serializes the full decision state: the freezing policy, refresh
-  // bookkeeping, plasticity history, undrained freeze decisions, and — when a
+  // Serializes the full decision state: the bootstrapping monitor, the
+  // freezing policy, refresh bookkeeping, plasticity history, undrained freeze decisions, and — when a
   // reference exists — the float snapshot the current reference was quantized
   // from (quantization is deterministic, so the reference is rebuilt
   // bit-identically on restore).
@@ -142,6 +172,12 @@ class EgeriaController {
   mutable std::mutex history_mutex_;
   std::vector<PlasticityRecord> history_;
   double eval_seconds_ = 0.0;
+
+  // Bootstrapping monitor (training thread only).
+  double bootstrap_prev_avg_ = -1.0;
+  double bootstrap_window_sum_ = 0.0;
+  int64_t bootstrap_window_count_ = 0;
+  int64_t bootstrap_end_iter_ = -1;
 
   std::atomic<bool> stopping_{false};
   std::thread thread_;  // joinable only in async mode

@@ -2,12 +2,10 @@
 
 #include <unistd.h>
 
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 
 #include "src/ckpt/state_dict.h"
-#include "src/ckpt/wire.h"
 #include "src/obs/metrics.h"
 #include "src/obs/phase.h"
 #include "src/obs/trace.h"
@@ -97,22 +95,10 @@ uint64_t Trainer::CacheGeneration() const {
 void Trainer::FreezeUpTo(int stage, int64_t iter) {
   EGERIA_CHECK(stage >= 0 && stage < model_.NumStages() - 1);
   const int old_frontier = frontier_;
-  bool sub_applied = cfg_.egeria.frozen_prefix_precision != Precision::kFloat32;
-  for (int i = 0; i <= stage; ++i) {
-    model_.SetStageFrozen(i, true);
-    if (cfg_.egeria.frozen_prefix_precision != Precision::kFloat32) {
-      // Frozen stages never see backward or updates again until an unfreeze,
-      // so their forwards can run through the reduced-precision kernels (the
-      // chain model keeps the clone until the precision is reset below).
-      sub_applied = model_.SetStageForwardPrecision(i, cfg_.egeria.frozen_prefix_precision) &&
-                    sub_applied;
-    }
-  }
-  prefix_precision_ =
-      sub_applied ? cfg_.egeria.frozen_prefix_precision : Precision::kFloat32;
   frontier_ = stage + 1;
+  prefix_precision_ = ApplyFrontier(model_, frontier_, cfg_.egeria.frozen_prefix_precision);
   frozen_prefix_hash_ = FrozenPrefixHash();
-  if (cfg_.release_frozen_optimizer_state && frontier_ > old_frontier) {
+  if (frontier_ > old_frontier) {
     // The newly frozen params are the prefix of the previously active list
     // that the new active list no longer contains.
     std::vector<Parameter*> was_active = model_.ParamsFrom(old_frontier);
@@ -120,9 +106,6 @@ void Trainer::FreezeUpTo(int stage, int64_t iter) {
     EGERIA_CHECK(was_active.size() >= still_active);
     was_active.resize(was_active.size() - still_active);
     optimizer_->ReleaseState(was_active);
-  }
-  if (frontier_observer_ && frontier_ != old_frontier) {
-    frontier_observer_(old_frontier, frontier_, iter);
   }
   result_.freeze_events.push_back({iter, static_cast<int>(iter / IterationsPerEpoch()),
                                    /*unfreeze=*/false, frontier_});
@@ -134,17 +117,9 @@ void Trainer::FreezeUpTo(int stage, int64_t iter) {
 }
 
 void Trainer::UnfreezeAll(int64_t iter) {
-  const int old_frontier = frontier_;
-  for (int i = 0; i < model_.NumStages(); ++i) {
-    model_.SetStageFrozen(i, false);
-    model_.SetStageForwardPrecision(i, Precision::kFloat32);
-  }
   frontier_ = 0;
+  prefix_precision_ = ApplyFrontier(model_, 0, cfg_.egeria.frozen_prefix_precision);
   frozen_prefix_hash_ = 0;
-  prefix_precision_ = Precision::kFloat32;
-  if (frontier_observer_ && old_frontier != 0) {
-    frontier_observer_(old_frontier, 0, iter);
-  }
   if (cache_ != nullptr) {
     cache_->Clear();  // Prefix weights will change; cached activations are stale.
   }
@@ -163,62 +138,6 @@ void Trainer::ApplyDecision(const FreezeDecision& d) {
     UnfreezeAll(d.iter);
   }
 }
-
-void Trainer::MaybeSubmitEval(const Batch& batch, float lr, int64_t iter) {
-  if (controller_ == nullptr || !knowledge_stage_) {
-    return;
-  }
-  if (iter % cfg_.egeria.eval_interval_n != 0) {
-    return;
-  }
-  if (frontier_ >= model_.NumStages() - 1 - cfg_.egeria.protected_tail + 1) {
-    return;  // Nothing left that may freeze.
-  }
-  EvalRequest req;
-  req.batch = batch;
-  req.train_act = model_.StageOutput(frontier_);
-  req.stage = frontier_;
-  req.lr = lr;
-  req.iter = iter;
-  if (controller_->SubmitEval(std::move(req))) {
-    ++result_.evals_submitted;
-  }
-}
-
-void Trainer::UpdateBootstrap(double loss, int64_t iter) {
-  // Change rate of the window-averaged training loss, sampled every n iterations
-  // (paper: permissively 10%). Entering the knowledge-guided stage triggers the
-  // first reference snapshot.
-  bootstrap_window_sum_ += loss;
-  ++bootstrap_window_count_;
-  if (cfg_.egeria.max_bootstrap_iters >= 0 && iter >= cfg_.egeria.max_bootstrap_iters) {
-    knowledge_stage_ = true;
-    result_.bootstrap_end_iter = iter;
-    return;
-  }
-  if (iter % cfg_.egeria.eval_interval_n != 0) {
-    return;
-  }
-  const double avg = bootstrap_window_sum_ / static_cast<double>(bootstrap_window_count_);
-  bootstrap_window_sum_ = 0.0;
-  bootstrap_window_count_ = 0;
-  if (bootstrap_prev_avg_ > 0.0) {
-    const double rate = std::abs(bootstrap_prev_avg_ - avg) / bootstrap_prev_avg_;
-    if (rate < cfg_.egeria.bootstrap_change_rate) {
-      knowledge_stage_ = true;
-      result_.bootstrap_end_iter = iter;
-      if (cfg_.verbose) {
-        EGERIA_LOG(kInfo) << "bootstrapping stage ended at iter " << iter;
-      }
-    }
-  }
-  bootstrap_prev_avg_ = avg;
-}
-
-namespace {
-constexpr uint32_t kTrainerStateMagic = 0x52544745;  // 'EGTR'
-constexpr uint32_t kTrainerStateVersion = 1;
-}  // namespace
 
 void Trainer::SaveTrainingCheckpoint(int64_t iter) {
   obs::ScopedPhase ckpt_phase("ckpt", "trainer_save",
@@ -247,21 +166,6 @@ void Trainer::SaveTrainingCheckpoint(int64_t iter) {
   optimizer_->ExportState(params, names, state);
   bool ok = SaveCheckpoint(m.dir + "/model.state", state) &&
             AddManifestFile(m, "model.state");
-
-  {
-    std::ofstream os(m.dir + "/trainer.state", std::ios::binary | std::ios::trunc);
-    wire::Write(os, kTrainerStateMagic);
-    wire::Write(os, kTrainerStateVersion);
-    wire::Write(os, iter);
-    wire::Write(os, static_cast<int32_t>(frontier_));
-    wire::Write(os, static_cast<uint8_t>(knowledge_stage_ ? 1 : 0));
-    wire::Write(os, bootstrap_prev_avg_);
-    wire::Write(os, bootstrap_window_sum_);
-    wire::Write(os, bootstrap_window_count_);
-    wire::Write(os, result_.bootstrap_end_iter);
-    ok = ok && static_cast<bool>(os);
-  }
-  ok = ok && AddManifestFile(m, "trainer.state");
 
   if (controller_ != nullptr) {
     {
@@ -315,39 +219,14 @@ int64_t Trainer::TryResume() {
   EGERIA_CHECK_MSG(optimizer_->ImportState(params, names, state),
                    m->dir + ": optimizer state does not match this configuration");
 
-  std::ifstream is(m->dir + "/trainer.state", std::ios::binary);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  int64_t iter = 0;
-  int32_t frontier = 0;
-  uint8_t knowledge_stage = 0;
-  EGERIA_CHECK_MSG(wire::Read(is, magic) && magic == kTrainerStateMagic &&
-                       wire::Read(is, version) && version == kTrainerStateVersion &&
-                       wire::Read(is, iter) && wire::Read(is, frontier) &&
-                       wire::Read(is, knowledge_stage) &&
-                       wire::Read(is, bootstrap_prev_avg_) &&
-                       wire::Read(is, bootstrap_window_sum_) &&
-                       wire::Read(is, bootstrap_window_count_) &&
-                       wire::Read(is, result_.bootstrap_end_iter),
-                   m->dir + ": malformed trainer.state");
-  EGERIA_CHECK(iter == m->iter);
-  EGERIA_CHECK(frontier >= 0 && frontier < model_.NumStages());
-  knowledge_stage_ = knowledge_stage != 0;
+  EGERIA_CHECK_MSG(m->frontier >= 0 && m->frontier < model_.NumStages(),
+                   m->dir + ": frontier out of range for this model");
 
   // Reapply the freeze frontier (and the frozen prefix's reduced-precision
-  // forward substitution) exactly as FreezeUpTo left it.
-  frontier_ = frontier;
-  bool sub_applied =
-      frontier_ > 0 && cfg_.egeria.frozen_prefix_precision != Precision::kFloat32;
-  for (int i = 0; i < model_.NumStages(); ++i) {
-    model_.SetStageFrozen(i, i < frontier_);
-    if (i < frontier_ && cfg_.egeria.frozen_prefix_precision != Precision::kFloat32) {
-      sub_applied = model_.SetStageForwardPrecision(i, cfg_.egeria.frozen_prefix_precision) &&
-                    sub_applied;
-    }
-  }
-  prefix_precision_ =
-      sub_applied ? cfg_.egeria.frozen_prefix_precision : Precision::kFloat32;
+  // forward substitution, cloned from the restored weights) as FreezeUpTo
+  // left it.
+  frontier_ = m->frontier;
+  prefix_precision_ = ApplyFrontier(model_, frontier_, cfg_.egeria.frozen_prefix_precision);
   // Restored weights, same prefix => same hash as the interrupted run, so a
   // persistent feature store's manifest matches and its entries are adopted.
   frozen_prefix_hash_ = FrozenPrefixHash();
@@ -362,9 +241,9 @@ int64_t Trainer::TryResume() {
     });
     EGERIA_CHECK_MSG(restored, m->dir + ": controller state restore failed");
   }
-  EGERIA_LOG(kInfo) << "resumed from " << m->dir << " (iter " << iter << ", frontier "
-                    << frontier_ << ")";
-  return iter;
+  EGERIA_LOG(kInfo) << "resumed from " << m->dir << " (iter " << m->iter
+                    << ", frontier " << frontier_ << ")";
+  return m->iter;
 }
 
 TaskMetric Trainer::Validate() {
@@ -397,8 +276,6 @@ TrainResult Trainer::Run() {
   obs::Counter& iter_counter = obs::GetCounter("trainer.iterations");
   double cum_train_seconds = 0.0;
   int64_t iter = 0;
-  // Without Egeria there is no bootstrap gate to pass.
-  knowledge_stage_ = false;
 
   int start_epoch = 0;
   int64_t start_batch = 0;
@@ -447,22 +324,12 @@ TrainResult Trainer::Run() {
       ++iter;
       const float lr = cfg_.lr_schedule->LrAt(iter);
 
-      // --- Decision intake (Egeria) ---
+      // --- Decision intake + reference snapshot (Egeria) ---
       if (controller_ != nullptr) {
-        if (!cfg_.egeria.async_controller) {
-          controller_->RunPendingSync();
-        }
-        for (const FreezeDecision& d : controller_->DrainDecisions()) {
+        for (const FreezeDecision& d : controller_->TakeDecisions(lr, iter)) {
           ApplyDecision(d);
         }
-        if (auto d = controller_->OnLr(lr, iter)) {
-          ApplyDecision(*d);
-        }
-        if (knowledge_stage_ && controller_->WantsSnapshot()) {
-          // Float snapshot (the paper's GPU->CPU copy); the controller quantizes it.
-          InferenceFactory float_factory;
-          controller_->SubmitSnapshot(model_.CloneForInference(float_factory));
-        }
+        controller_->MaybeSnapshot(model_);
       }
 
       // --- Data ---
@@ -539,7 +406,10 @@ TrainResult Trainer::Run() {
       // --- Plasticity evaluation submission (async, non-blocking) ---
       // Valid on cache-skipped iterations too: ForwardFrom(frontier, cached) still
       // computes the frontier stage, so StageOutput(frontier) is a genuine A_T.
-      MaybeSubmitEval(batch, lr, iter);
+      if (controller_ != nullptr &&
+          controller_->MaybeSubmitEval(model_, batch, frontier_, lr, iter)) {
+        ++result_.evals_submitted;
+      }
 
       // --- Backward + update (active stages only) ---
       {
@@ -557,8 +427,8 @@ TrainResult Trainer::Run() {
       }
 
       // --- Bootstrapping monitor ---
-      if (controller_ != nullptr && !knowledge_stage_) {
-        UpdateBootstrap(loss.loss, iter);
+      if (controller_ != nullptr) {
+        controller_->UpdateBootstrap(loss.loss, iter);
       }
 
       // --- Baseline hooks ---
@@ -623,6 +493,7 @@ TrainResult Trainer::Run() {
   result_.final_frontier = frontier_;
   if (controller_ != nullptr) {
     result_.plasticity = controller_->PlasticityHistory();
+    result_.bootstrap_end_iter = controller_->BootstrapEndIter();
     result_.last_ref_quantize_seconds = controller_->LastQuantizeSeconds();
   }
   if (cache_ != nullptr) {

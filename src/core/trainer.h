@@ -1,21 +1,23 @@
 // The Egeria training loop (paper Fig. 3).
 //
-// Life cycle: (1) bootstrapping stage — no freezing; the trainer monitors the
-// training-loss change rate and enters the knowledge-guided stage once it falls
-// below the configured threshold (the "critical period" guard). (2) knowledge-guided
-// stage — the controller holds a quantized reference model; every n iterations the
-// worker submits the mini-batch and the frontier activation for asynchronous
-// plasticity evaluation; freeze/unfreeze decisions are drained and applied at
-// iteration boundaries. Frozen stages are excluded from backward computation,
-// parameter updates (and synchronization, in the distributed wrapper), and — when
-// the cache is enabled — from forward computation via cached boundary activations.
+// Life cycle: (1) bootstrapping stage — no freezing; the controller's monitor
+// watches the training-loss change rate and enters the knowledge-guided stage
+// once it falls below the configured threshold (the "critical period" guard).
+// (2) knowledge-guided stage — the controller holds a quantized reference model;
+// every n iterations the worker submits the mini-batch and the frontier
+// activation for asynchronous plasticity evaluation; freeze/unfreeze decisions
+// are drained and applied at iteration boundaries. The loop only calls the
+// controller's per-iteration duties (controller.h), the same calls the
+// distributed TrainRank makes. Frozen stages are excluded from backward
+// computation, parameter updates (releasing their optimizer state), and — when
+// the cache is enabled — from forward computation via cached boundary
+// activations.
 //
 // The same Trainer also hosts the comparison baselines through FreezeHook (static
 // freezing, AutoFreeze, Skip-Conv gate, FreezeOut), so every system shares one loop.
 #ifndef EGERIA_SRC_CORE_TRAINER_H_
 #define EGERIA_SRC_CORE_TRAINER_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -52,23 +54,19 @@ struct TrainConfig {
   uint64_t seed = 42;
   bool verbose = false;
 
-  // Free momentum/Adam state for stages the moment they freeze (the optimizer-
-  // state half of freezing's memory saving). Parameters re-activated by a later
-  // unfreeze restart from zero state, matching the ZeRO-1 sharded path.
-  bool release_frozen_optimizer_state = true;
-
   bool enable_egeria = false;
   EgeriaConfig egeria;
 
   // Fault tolerance: when checkpoint.enabled(), Run() snapshots the full
   // training state (model + BN stats, optimizer state, freeze frontier,
-  // controller/policy state, loop cursors) every interval_iters iterations and
-  // — if the directory already holds a complete checkpoint — resumes from the
-  // latest one instead of starting over. Bitwise-resume contract: with a
-  // deterministic configuration (synchronous controller), a run checkpointed
-  // at iteration k and resumed produces final weights bit-identical to the
-  // uninterrupted run. Timing fields of TrainResult (TTA, per-epoch seconds)
-  // cover only the resumed segment.
+  // controller state with its bootstrap monitor, loop cursors) every
+  // interval_iters iterations and — if the directory already holds a
+  // complete checkpoint — resumes from the latest one instead of starting
+  // over. Bitwise-resume contract: with a deterministic configuration
+  // (synchronous controller), a run checkpointed at iteration k and resumed
+  // produces final weights bit-identical to the uninterrupted run. Timing
+  // fields of TrainResult (TTA, per-epoch seconds) cover only the resumed
+  // segment.
   CheckpointOptions checkpoint;
 
   // Stop cleanly after this many iterations (a final checkpoint is written if
@@ -150,14 +148,6 @@ class FreezeHook {
   virtual std::string Name() const = 0;
 };
 
-// Notified whenever the freeze frontier moves (FreezeUpTo / UnfreezeAll).
-// This is the single-process form of the distributed freeze->reshard protocol:
-// the ZeRO-1 shard map, activation cache, and optimizer state all key off the
-// frontier, so anything that partitions work by active parameters subscribes
-// here instead of polling.
-using FrontierObserver =
-    std::function<void(int old_frontier, int new_frontier, int64_t iter)>;
-
 class Trainer {
  public:
   Trainer(ChainModel& model, const Dataset& train_data, const Dataset& val_data,
@@ -165,9 +155,6 @@ class Trainer {
   ~Trainer();
 
   void SetFreezeHook(FreezeHook* hook) { hook_ = hook; }
-  void SetFrontierObserver(FrontierObserver observer) {
-    frontier_observer_ = std::move(observer);
-  }
 
   TrainResult Run();
 
@@ -181,8 +168,10 @@ class Trainer {
   int64_t TotalIterations() const;
   // Output of the frontmost active stage in the current iteration's forward pass.
   Tensor FrontierActivation() const;
-  // Resident optimizer-state bytes (shrinks when freezing releases the frozen
-  // prefix's state; see TrainConfig::release_frozen_optimizer_state).
+  // Resident optimizer-state bytes. Freezing releases the frozen prefix's
+  // state (the optimizer-state half of freezing's memory saving); parameters
+  // re-activated by a later unfreeze restart from zero state, matching the
+  // ZeRO-1 sharded path.
   int64_t OptimizerStateBytes() const { return optimizer_->StateBytes(); }
 
   // Runs validation (val_batches batches) in inference mode and restores training
@@ -191,8 +180,6 @@ class Trainer {
 
  private:
   void ApplyDecision(const FreezeDecision& d);
-  void MaybeSubmitEval(const Batch& batch, float lr, int64_t iter);
-  void UpdateBootstrap(double loss, int64_t iter);
   std::unique_ptr<Optimizer> MakeOptimizer() const;
   // Writes a complete checkpoint for `iter` completed iterations (manifest
   // committed last) and applies retention. Logged best-effort: a failed save
@@ -222,7 +209,6 @@ class Trainer {
   std::unique_ptr<EgeriaController> controller_;
   std::unique_ptr<ActivationCache> cache_;
   FreezeHook* hook_ = nullptr;
-  FrontierObserver frontier_observer_;
 
   int frontier_ = 0;
   // Feature-store keying state: hash of the frozen prefix's parameters, the
@@ -236,10 +222,6 @@ class Trainer {
   // substitution (e.g. the encoder-decoder Transformer) — the cache key must
   // reflect the bits that were really computed.
   Precision prefix_precision_ = Precision::kFloat32;
-  bool knowledge_stage_ = false;
-  double bootstrap_prev_avg_ = -1.0;
-  double bootstrap_window_sum_ = 0.0;
-  int64_t bootstrap_window_count_ = 0;
 
   TrainResult result_;
 };

@@ -79,8 +79,7 @@ TransportStatus ExchangeFrontier(Transport& transport, int rank, int32_t pending
 // ---- Distributed checkpoint files ----
 
 constexpr uint32_t kShardMagic = 0x44534745;  // 'EGSD'
-constexpr uint32_t kDistStateMagic = 0x44544745;  // 'EGTD'
-constexpr uint32_t kDistStateVersion = 1;
+constexpr uint32_t kShardVersion = 1;
 
 std::string ShardFileName(int rank) {
   return "shard_r" + std::to_string(rank) + ".state";
@@ -98,7 +97,7 @@ bool WriteShardFile(const std::string& path, const ShardedSgd::ShardState& s) {
     return false;
   }
   wire::Write(os, kShardMagic);
-  wire::Write(os, kDistStateVersion);
+  wire::Write(os, kShardVersion);
   wire::Write(os, s.frozen_elems);
   wire::Write(os, s.active_elems);
   wire::Write(os, s.global_begin);
@@ -142,7 +141,7 @@ bool ReadShardFile(const std::string& path, ShardedSgd::ShardState& s) {
   uint32_t magic = 0;
   uint32_t version = 0;
   if (!is || !wire::Read(is, magic) || magic != kShardMagic ||
-      !wire::Read(is, version) || version != kDistStateVersion ||
+      !wire::Read(is, version) || version != kShardVersion ||
       !wire::Read(is, s.frozen_elems) || !wire::Read(is, s.active_elems) ||
       !wire::Read(is, s.global_begin) || !wire::Read(is, s.global_end) ||
       !wire::ReadFloats(is, s.velocity) ||
@@ -254,7 +253,6 @@ RankTrainResult TrainRank(
   int frontier = 0;
   int32_t next_frontier = 0;
   int64_t iter = 0;
-  bool knowledge_stage = !cfg.enable_egeria;
   const int64_t total_elems = model.TotalParamCount();
   const int64_t full_bytes_per_iter = total_elems * static_cast<int64_t>(sizeof(float));
   int64_t shard_begin = 0;
@@ -420,19 +418,10 @@ RankTrainResult TrainRank(
     ShardedSgd::ShardState shard_state = shard_opt.ExportShard();
     Checkpoint buffers = ExportModelBuffers(model);
     Checkpoint state;
-    std::string dist_state_bytes;
     std::string controller_bytes;
     bool has_controller = false;
     if (rank == 0) {
       state = ExportModelState(model);
-      {
-        std::ostringstream os(std::ios::binary);
-        wire::Write(os, kDistStateMagic);
-        wire::Write(os, kDistStateVersion);
-        wire::Write(os, at_iter);
-        wire::Write(os, static_cast<uint8_t>(knowledge_stage ? 1 : 0));
-        dist_state_bytes = os.str();
-      }
       if (controller != nullptr) {
         std::ostringstream os(std::ios::binary);
         controller->SaveState(os);
@@ -453,20 +442,12 @@ RankTrainResult TrainRank(
     }
     auto write_job = [rank, step_dir, shard_state = std::move(shard_state),
                       buffers = std::move(buffers), state = std::move(state),
-                      dist_state_bytes = std::move(dist_state_bytes),
                       controller_bytes = std::move(controller_bytes),
                       has_controller]() -> bool {
       bool wok = WriteShardFile(step_dir + "/" + ShardFileName(rank), shard_state);
       wok = wok && SaveCheckpoint(step_dir + "/" + BuffersFileName(rank), buffers);
       if (rank == 0) {
         wok = wok && SaveCheckpoint(step_dir + "/model.state", state);
-        {
-          std::ofstream os(step_dir + "/dist.state",
-                           std::ios::binary | std::ios::trunc);
-          os.write(dist_state_bytes.data(),
-                   static_cast<std::streamsize>(dist_state_bytes.size()));
-          wok = wok && static_cast<bool>(os);
-        }
         if (has_controller) {
           std::ofstream os(step_dir + "/controller.state",
                            std::ios::binary | std::ios::trunc);
@@ -513,7 +494,7 @@ RankTrainResult TrainRank(
                "the previous checkpoint)";
       } else {
         CkptManifest m = ckpt_manifest;
-        bool ok = AddManifestFile(m, "model.state") && AddManifestFile(m, "dist.state");
+        bool ok = AddManifestFile(m, "model.state");
         if (ok && ckpt_has_controller) {
           ok = AddManifestFile(m, "controller.state");
         }
@@ -565,9 +546,6 @@ RankTrainResult TrainRank(
     iter = m->iter;
     frontier = m->frontier;
     next_frontier = m->next_frontier;
-    for (int i = 0; i < model.NumStages(); ++i) {
-      model.SetStageFrozen(i, i < frontier);
-    }
     Checkpoint state;
     EGERIA_CHECK_MSG(LoadCheckpoint(step_dir + "/model.state", state) &&
                          LoadModelState(state, model),
@@ -585,19 +563,9 @@ RankTrainResult TrainRank(
               LoadModelBuffers(bufs, model),
           "replica buffer restore failed: " + step_dir);
     }
-    {
-      std::ifstream is(step_dir + "/dist.state", std::ios::binary);
-      uint32_t magic = 0;
-      uint32_t version = 0;
-      int64_t saved_iter = 0;
-      uint8_t ks = 0;
-      EGERIA_CHECK_MSG(wire::Read(is, magic) && magic == kDistStateMagic &&
-                           wire::Read(is, version) && version == kDistStateVersion &&
-                           wire::Read(is, saved_iter) && saved_iter == m->iter &&
-                           wire::Read(is, ks),
-                       "malformed dist.state: " + step_dir);
-      knowledge_stage = ks != 0;
-    }
+    // After the weights and buffers: a reduced-precision frozen prefix is
+    // cloned from the restored values.
+    ApplyFrontier(model, frontier, cfg.egeria.frozen_prefix_precision);
     {
       // Re-fold the saved momentum shards through the reduction-contract
       // partition at THIS world size — the saved world may differ (elastic
@@ -670,10 +638,8 @@ RankTrainResult TrainRank(
 
       // Apply the frontier broadcast at the end of the previous iteration.
       if (next_frontier != frontier) {
-        for (int i = 0; i < model.NumStages(); ++i) {
-          model.SetStageFrozen(i, i < next_frontier);
-        }
         frontier = next_frontier;
+        ApplyFrontier(model, frontier, cfg.egeria.frozen_prefix_precision);
         if (sharded) {
           // Frontier moved: drop the newly frozen prefix from the shard map
           // (and its optimizer state), repartition the survivors.
@@ -692,45 +658,24 @@ RankTrainResult TrainRank(
       LossResult loss = TaskLoss(cfg.task, logits, batch);
       fp_phase.Stop();
 
-      // Controller duties on rank 0 only (logically centralized, Fig. 5). Runs
-      // BEFORE this iteration's control broadcast so the decision reaches every
-      // rank in time to be applied at the same iteration boundary — and before
-      // backward, so the transport is free for the overlapped reducer's comm
-      // thread from BeginRound to FinishRound. Everything the controller reads
-      // (forward activations, pre-update weights, lr, iter) is untouched by
-      // backward, so its inputs are bitwise the post-backward placement's.
+      // Controller duties on rank 0 only (logically centralized, Fig. 5):
+      // decision intake, snapshot and eval submission, the same calls Trainer
+      // makes. They run BEFORE this iteration's control broadcast so a
+      // decision reaches every rank in time to be applied at the same
+      // iteration boundary — and before backward, so the transport is free
+      // for the overlapped reducer's comm thread from BeginRound to
+      // FinishRound. Everything the controller reads (forward activations,
+      // pre-update weights, lr, iter) is untouched by backward, so its inputs
+      // are bitwise the post-backward placement's.
       int32_t pending = static_cast<int32_t>(frontier);
-      if (rank == 0 && controller != nullptr) {
-        if (!cfg.egeria.async_controller) {
-          controller->RunPendingSync();
-        }
-        if (!knowledge_stage && iter >= cfg.egeria.eval_interval_n) {
-          knowledge_stage = true;  // Simplified bootstrap: fixed warmup.
-        }
-        if (knowledge_stage && controller->WantsSnapshot()) {
-          InferenceFactory float_factory;
-          controller->SubmitSnapshot(model.CloneForInference(float_factory));
-        }
-        if (knowledge_stage && iter % cfg.egeria.eval_interval_n == 0 &&
-            frontier < model.NumStages() - 1 - cfg.egeria.protected_tail + 1) {
-          EvalRequest req;
-          req.batch = batch;
-          req.train_act = model.StageOutput(frontier);
-          req.stage = frontier;
-          req.lr = lr;
-          req.iter = iter;
-          controller->SubmitEval(std::move(req));
-        }
-        for (const FreezeDecision& d : controller->DrainDecisions()) {
+      if (controller != nullptr) {
+        for (const FreezeDecision& d : controller->TakeDecisions(lr, iter)) {
           pending = d.kind == FreezeDecision::Kind::kFreezeUpTo
                         ? static_cast<int32_t>(d.stage + 1)
                         : 0;
         }
-        if (auto d = controller->OnLr(lr, iter)) {
-          if (d->kind == FreezeDecision::Kind::kUnfreezeAll) {
-            pending = 0;
-          }
-        }
+        controller->MaybeSnapshot(model);
+        controller->MaybeSubmitEval(model, batch, frontier, lr, iter);
       }
 
       // Control plane: the frontier taking effect at iter+1, serialized and
@@ -776,6 +721,9 @@ RankTrainResult TrainRank(
                                    &result.opt_seconds);
         opt.Step(active, lr);
       }
+      if (controller != nullptr) {
+        controller->UpdateBootstrap(loss.loss, iter);
+      }
       result.bytes_synced += grads.NumEl() * static_cast<int64_t>(sizeof(float));
       result.bytes_full_model += full_bytes_per_iter;
       iter_counter.Add(1);
@@ -818,6 +766,9 @@ RankTrainResult TrainRank(
   finalize_segment(iter + 1);  // The last segment ran through iteration `iter`.
   result.final_frontier = frontier;
   result.iterations = iter;
+  if (controller != nullptr) {
+    result.bootstrap_end_iter = controller->BootstrapEndIter();
+  }
   result.wire_bytes = ring.TotalWireBytes();
   result.allreduce_seconds = ring.CommSeconds();
   result.comm_hidden_seconds = overlap_reducer.TotalHiddenSeconds();
@@ -915,6 +866,7 @@ DistTrainResult TrainDataParallel(
   result.params_hash = r0.params_hash;
   result.resumed_from_iter = r0.resumed_from_iter;
   result.stopped_early = r0.stopped_early;
+  result.bootstrap_end_iter = r0.bootstrap_end_iter;
   result.reshard_events = r0.reshard_events;
   result.status = r0.status;
   // Synchronized SGD on contract-reduced gradients keeps replicas bitwise

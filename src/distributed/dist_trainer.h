@@ -1,10 +1,13 @@
 // Data-parallel training harness (the paper's Fig. 5 controller-worker layout
 // at process scale): K workers hold model replicas, train on disjoint shards
 // of each batch permutation, and synchronize gradients with a real all-reduce.
-// Rank 0 co-locates the Egeria controller; freeze/unfreeze decisions travel as
-// control-plane broadcast messages and are applied at iteration boundaries, and
-// frozen stages drop out of the synchronization payload (the Fig. 10 traffic
-// saving).
+// Rank 0 co-locates the Egeria controller and calls the same per-iteration
+// duties the single-process Trainer calls (decision intake, snapshot, eval
+// submission, the bootstrapping monitor; controller.h). Freeze/unfreeze
+// decisions travel as control-plane broadcast messages and are applied at
+// iteration boundaries through the same ApplyFrontier (frozen_prefix_precision
+// included), and frozen stages drop out of the synchronization payload (the
+// Fig. 10 traffic saving).
 //
 // The per-rank loop (TrainRank) runs over a byte-oriented Transport, so the
 // same code serves two deployments:
@@ -168,6 +171,7 @@ struct RankTrainResult {
   double train_seconds = 0.0;      // whole-loop wall time (epoch loop only)
   int64_t resumed_from_iter = -1;  // checkpoint iteration resumed from, -1 = fresh
   bool stopped_early = false;      // stop_after_iters ended the run
+  int64_t bootstrap_end_iter = -1; // rank 0: bootstrapping stage end, -1 = never
   // Why the loop ended: ok() for a clean run; otherwise the first transport
   // error this rank observed (peer death, corrupt frame, coordinated abort).
   // On error the model/metrics fields reflect the last completed iteration —
@@ -194,6 +198,7 @@ struct DistTrainResult {
   uint64_t params_hash = 0;          // FNV-1a over replica 0's final weights
   int64_t resumed_from_iter = -1;    // rank 0's resume point (-1 = fresh start)
   bool stopped_early = false;
+  int64_t bootstrap_end_iter = -1;   // rank 0's bootstrapping stage end
   // First non-ok rank status (any error forces replicas_consistent = false).
   TransportStatus status;
   std::vector<DistReshardEvent> reshard_events;  // ring-sharded path only

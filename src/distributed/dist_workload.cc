@@ -12,11 +12,14 @@ namespace egeria {
 namespace {
 
 // Egeria controller settings every dist workload shares: deterministic
-// (synchronous) controller, short eval cadence so small runs still freeze.
+// (synchronous) controller, short eval cadence so small runs still freeze, and
+// a bootstrapping stage capped to end at iteration 3, so the first snapshot
+// and evaluation land at iteration 4.
 void PresetEgeria(DistTrainConfig& cfg) {
   cfg.enable_egeria = false;
   cfg.egeria.async_controller = false;
   cfg.egeria.eval_interval_n = 4;
+  cfg.egeria.max_bootstrap_iters = cfg.egeria.eval_interval_n - 1;
   cfg.egeria.window_w = 3;
   cfg.egeria.tolerance_coef = 0.4;
   cfg.egeria.enable_cache = false;

@@ -49,6 +49,20 @@ bool ChainModel::PrefixForwardDeterministic(int frontier) {
   return true;
 }
 
+Precision ApplyFrontier(ChainModel& model, int frontier, Precision precision) {
+  bool substituted = frontier > 0;
+  for (int i = 0; i < model.NumStages(); ++i) {
+    const bool frozen = i < frontier;
+    model.SetStageFrozen(i, frozen);
+    // Frozen stages never see backward or updates again until an unfreeze, so
+    // their forwards can run through the reduced-precision kernels.
+    const bool ok =
+        model.SetStageForwardPrecision(i, frozen ? precision : Precision::kFloat32);
+    substituted = substituted && (ok || !frozen);
+  }
+  return substituted ? precision : Precision::kFloat32;
+}
+
 StageChainModel::StageChainModel(std::string name,
                                  std::vector<std::unique_ptr<Module>> stages)
     : name_(std::move(name)), stages_(std::move(stages)) {

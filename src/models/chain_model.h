@@ -131,6 +131,14 @@ class ChainModel {
   StageBackwardObserver stage_backward_observer_;
 };
 
+// Puts `model` at freeze frontier `frontier`: stages [0, frontier) frozen, with
+// their forwards substituted at `precision` (a no-op at kFloat32), and every
+// later stage active at full precision. Returns the precision the frozen
+// prefix's forward actually runs at: kFloat32 when nothing is frozen or the
+// model rejects substitution. The one frontier move every training loop uses
+// (freeze, unfreeze, resume).
+Precision ApplyFrontier(ChainModel& model, int frontier, Precision precision);
+
 // ChainModel over an explicit list of single-input modules.
 class StageChainModel : public ChainModel {
  public:

@@ -1,7 +1,10 @@
-// Activation cache (store/fetch/prefetch/invalidation), SPSC queue behaviour, and
-// controller end-to-end decision flow in synchronous mode.
+// Activation cache (store/fetch/prefetch/invalidation), SPSC queue behaviour,
+// controller end-to-end decision flow in synchronous mode, and the controller's
+// bootstrapping monitor.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <sstream>
 #include <thread>
 
 #include "src/core/activation_cache.h"
@@ -237,6 +240,104 @@ TEST_F(ControllerTest, RequestsSnapshotRefresh) {
     controller.RunPendingSync();
   }
   EXPECT_TRUE(controller.WantsSnapshot());
+}
+
+// The bootstrapping monitor (paper S4.2.2): the knowledge-guided stage starts
+// once the change rate of the window-averaged training loss falls below
+// bootstrap_change_rate; until then no evaluation is submitted.
+TEST_F(ControllerTest, BootstrapEndsWhenLossChangeRateFallsBelowThreshold) {
+  auto model = MakeModel();
+  EgeriaConfig cfg = SyncConfig();
+  cfg.eval_interval_n = 2;
+  cfg.bootstrap_change_rate = 0.1;
+  EgeriaController controller(cfg, model->NumStages(), true);
+  Rng rng(14);
+  Batch batch;
+  batch.input = Tensor::Randn({2, 3, 8, 8}, rng);
+  model->ForwardFrom(0, batch.input);
+  // Window averages 10, 6 (rate 0.4), 5.8 (rate 0.033 < 0.1): ends at iter 6.
+  const double losses[] = {10.0, 10.0, 6.0, 6.0, 5.8, 5.8};
+  for (int64_t iter = 1; iter <= 6; ++iter) {
+    EXPECT_FALSE(controller.InKnowledgeStage()) << "iter " << iter;
+    EXPECT_FALSE(controller.MaybeSubmitEval(*model, batch, 0, 0.1F, iter));
+    controller.UpdateBootstrap(losses[iter - 1], iter);
+  }
+  EXPECT_TRUE(controller.InKnowledgeStage());
+  EXPECT_EQ(controller.BootstrapEndIter(), 6);
+  controller.UpdateBootstrap(100.0, 7);  // Ended for good.
+  EXPECT_EQ(controller.BootstrapEndIter(), 6);
+  EXPECT_TRUE(controller.MaybeSubmitEval(*model, batch, 0, 0.1F, 8));
+  EXPECT_FALSE(controller.MaybeSubmitEval(*model, batch, 0, 0.1F, 9));  // Off-interval.
+  // Nothing left that may freeze: the last stage is the protected tail.
+  EXPECT_FALSE(
+      controller.MaybeSubmitEval(*model, batch, model->NumStages() - 1, 0.1F, 10));
+}
+
+TEST_F(ControllerTest, BootstrapEndsAtMaxBootstrapIters) {
+  auto model = MakeModel();
+  EgeriaConfig cfg = SyncConfig();
+  cfg.eval_interval_n = 2;
+  cfg.max_bootstrap_iters = 3;
+  EgeriaController controller(cfg, model->NumStages(), true);
+  // The loss halves every iteration, so the change rate never ends it.
+  double loss = 16.0;
+  for (int64_t iter = 1; iter <= 2; ++iter, loss /= 2) {
+    controller.UpdateBootstrap(loss, iter);
+    EXPECT_FALSE(controller.InKnowledgeStage());
+  }
+  controller.UpdateBootstrap(loss, 3);
+  EXPECT_TRUE(controller.InKnowledgeStage());
+  EXPECT_EQ(controller.BootstrapEndIter(), 3);
+}
+
+// A checkpoint taken in the middle of the bootstrapping stage (and in the
+// middle of an averaging window) carries the monitor: the restored controller
+// ends the stage at the same iteration as one that never stopped.
+TEST_F(ControllerTest, BootstrapSurvivesSaveRestoreMidWindow) {
+  auto model = MakeModel();
+  EgeriaConfig cfg = SyncConfig();
+  cfg.eval_interval_n = 4;
+  auto loss = [](int64_t iter) { return 1.0 + 9.0 / static_cast<double>(iter); };
+  EgeriaController whole(cfg, model->NumStages(), true);
+  for (int64_t iter = 1; iter <= 40 && !whole.InKnowledgeStage(); ++iter) {
+    whole.UpdateBootstrap(loss(iter), iter);
+  }
+  ASSERT_TRUE(whole.InKnowledgeStage());
+  const int64_t end_iter = whole.BootstrapEndIter();
+  ASSERT_GT(end_iter, 10) << "the save below must fall inside the bootstrap";
+
+  EgeriaController first(cfg, model->NumStages(), true);
+  for (int64_t iter = 1; iter <= 10; ++iter) {
+    first.UpdateBootstrap(loss(iter), iter);
+  }
+  ASSERT_FALSE(first.InKnowledgeStage());
+  std::stringstream blob;
+  first.SaveState(blob);
+  EgeriaController resumed(cfg, model->NumStages(), true);
+  InferenceFactory float_factory;
+  ASSERT_TRUE(resumed.RestoreState(
+      blob, [&] { return model->CloneForInference(float_factory); }));
+  EXPECT_FALSE(resumed.InKnowledgeStage());
+  for (int64_t iter = 11; iter <= 40 && !resumed.InKnowledgeStage(); ++iter) {
+    resumed.UpdateBootstrap(loss(iter), iter);
+  }
+  EXPECT_EQ(resumed.BootstrapEndIter(), end_iter);
+}
+
+// Controller state version 1 (no bootstrap monitor) is rejected at the header.
+TEST_F(ControllerTest, RestoreRejectsVersion1State) {
+  auto model = MakeModel();
+  EgeriaController saved(SyncConfig(), model->NumStages(), true);
+  std::stringstream blob;
+  saved.SaveState(blob);
+  std::string bytes = blob.str();
+  const uint32_t v1 = 1;
+  std::memcpy(bytes.data() + sizeof(uint32_t), &v1, sizeof(v1));  // after the magic
+  std::stringstream patched(bytes);
+  EgeriaController restored(SyncConfig(), model->NumStages(), true);
+  InferenceFactory float_factory;
+  EXPECT_FALSE(restored.RestoreState(
+      patched, [&] { return model->CloneForInference(float_factory); }));
 }
 
 }  // namespace

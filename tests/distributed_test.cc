@@ -742,6 +742,83 @@ TEST(DistResume, SameWorldResumeBitwiseMatchesUninterrupted) {
   std::filesystem::remove_all(dir);
 }
 
+// The same pin with the resume point inside the bootstrapping stage: without
+// a cap the paper's change-rate rule ends it, and the monitor's window state
+// travels in controller.state, so the resumed world ends the stage — and
+// every freeze after it — at the uninterrupted run's iterations.
+TEST(DistResume, ResumeInsideBootstrapBitwiseMatchesUninterrupted) {
+  auto tiny = [](const std::string& dir, int64_t stop_after) {
+    DistWorkload w = MakeDistWorkload("tiny");
+    w.cfg.world = 2;
+    w.cfg.enable_egeria = true;
+    w.cfg.egeria.max_bootstrap_iters = -1;
+    w.cfg.ckpt.dir = dir;
+    w.cfg.ckpt.interval_iters = dir.empty() ? 0 : 5;
+    w.cfg.stop_after_iters = stop_after;
+    return TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg);
+  };
+  constexpr int64_t kStop = 10;
+  const DistTrainResult ref = tiny("", -1);
+  ASSERT_TRUE(ref.replicas_consistent);
+  ASSERT_GT(ref.bootstrap_end_iter, kStop) << "the stop no longer falls inside the bootstrap";
+  ASSERT_GT(ref.final_frontier, 0) << "workload no longer freezes; test is hollow";
+
+  const std::string dir = MakeCkptDir("bootresume");
+  const DistTrainResult stopped = tiny(dir, kStop);
+  EXPECT_TRUE(stopped.stopped_early);
+  EXPECT_EQ(stopped.bootstrap_end_iter, -1);
+
+  const DistTrainResult resumed = tiny(dir, -1);
+  EXPECT_EQ(resumed.resumed_from_iter, kStop);
+  EXPECT_TRUE(resumed.replicas_consistent);
+  EXPECT_EQ(resumed.bootstrap_end_iter, ref.bootstrap_end_iter);
+  EXPECT_EQ(resumed.final_frontier, ref.final_frontier);
+  EXPECT_EQ(resumed.params_hash, ref.params_hash)
+      << "resume inside the bootstrap diverged from the uninterrupted run";
+  std::filesystem::remove_all(dir);
+}
+
+// frozen_prefix_precision in a distributed world: frozen stages forward
+// through fp16 clones on every rank (the same ApplyFrontier Trainer uses), so
+// the ring and the sequential reference still agree bitwise, and a resume
+// re-clones the prefix from the restored weights.
+TEST(DistResume, Fp16FrozenPrefixRingMatchesReferenceAndResumes) {
+  auto tiny = [](DistTrainConfig::Reducer reducer, const std::string& dir,
+                 int64_t stop_after, Precision precision = Precision::kFloat16) {
+    DistWorkload w = MakeDistWorkload("tiny");
+    w.cfg.world = 2;
+    w.cfg.enable_egeria = true;
+    w.cfg.egeria.frozen_prefix_precision = precision;
+    w.cfg.reducer = reducer;
+    w.cfg.ckpt.dir = dir;
+    w.cfg.ckpt.interval_iters = dir.empty() ? 0 : 8;
+    w.cfg.stop_after_iters = stop_after;
+    return TrainDataParallel(w.make_model, *w.train, *w.val, w.cfg);
+  };
+  using Reducer = DistTrainConfig::Reducer;
+  const DistTrainResult ring = tiny(Reducer::kRingSharded, "", -1);
+  const DistTrainResult ref = tiny(Reducer::kSequentialReference, "", -1);
+  ASSERT_TRUE(ring.replicas_consistent);
+  ASSERT_GT(ring.final_frontier, 0) << "workload no longer freezes; test is hollow";
+  EXPECT_EQ(ring.final_frontier, ref.final_frontier);
+  EXPECT_EQ(ring.params_hash, ref.params_hash);
+  // The substitution is live: fp16 prefix forwards train different weights.
+  EXPECT_NE(ring.params_hash,
+            tiny(Reducer::kRingSharded, "", -1, Precision::kFloat32).params_hash);
+
+  // Stopped at 60, between the freezes at iterations 50 and 74.
+  const std::string dir = MakeCkptDir("fp16resume");
+  const DistTrainResult stopped = tiny(Reducer::kRingSharded, dir, 60);
+  EXPECT_TRUE(stopped.stopped_early);
+  EXPECT_GT(stopped.final_frontier, 0) << "the resume must restore a frozen prefix";
+  const DistTrainResult resumed = tiny(Reducer::kRingSharded, dir, -1);
+  EXPECT_EQ(resumed.resumed_from_iter, 60);
+  EXPECT_TRUE(resumed.replicas_consistent);
+  EXPECT_EQ(resumed.params_hash, ring.params_hash)
+      << "fp16 frozen-prefix resume diverged from the uninterrupted run";
+  std::filesystem::remove_all(dir);
+}
+
 // The star reference reducer does not checkpoint: a config that asks it to is
 // rejected at entry instead of silently running without saves.
 TEST(DistResumeDeathTest, ReferenceReducerRejectsCheckpointDir) {

@@ -194,24 +194,20 @@ TEST(TrainerIntegration, StaticFreezeHookFreezesAtEpoch) {
   EXPECT_EQ(r.final_frontier, 1);
 }
 
-TEST(TrainerIntegration, FrontierObserverFiresAndFrozenStateIsReleased) {
+TEST(TrainerIntegration, FreezeMovesFrontierOnceAndReleasesFrozenState) {
   Workload w = MakeWorkload(11);
   TrainConfig cfg = BaseConfig(3);
   StaticFreezeHook hook(1, 0);
   Trainer trainer(*w.model, *w.train, *w.val, cfg);
   trainer.SetFreezeHook(&hook);
-  struct Move {
-    int from;
-    int to;
-    int64_t iter;
-  };
-  std::vector<Move> moves;
-  trainer.SetFrontierObserver(
-      [&](int from, int to, int64_t iter) { moves.push_back({from, to, iter}); });
   TrainResult r = trainer.Run();
-  ASSERT_EQ(moves.size(), 1U);
-  EXPECT_EQ(moves[0].from, 0);
-  EXPECT_EQ(moves[0].to, 1);
+  // One frontier move, 0 -> 1, at the hook's iteration.
+  ASSERT_EQ(r.freeze_events.size(), 1U);
+  EXPECT_FALSE(r.freeze_events[0].unfreeze);
+  EXPECT_EQ(r.freeze_events[0].frontier_after, 1);
+  EXPECT_EQ(r.freeze_events[0].iter, trainer.IterationsPerEpoch());
+  ASSERT_EQ(r.frontier_timeline.size(), 1U);
+  EXPECT_EQ(r.frontier_timeline[0].second, 1);
   EXPECT_EQ(r.final_frontier, 1);
   // The frozen prefix's momentum was released: resident optimizer state covers
   // exactly the still-active parameters (every active param has stepped).

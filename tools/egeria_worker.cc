@@ -349,7 +349,7 @@ int Main(int argc, char** argv) {
               "final_frontier=%d iterations=%lld bytes_synced=%lld "
               "bytes_full_model=%lld wire_bytes=%lld allreduce_seconds=%.6f "
               "comm_hidden_seconds=%.6f comm_exposed_seconds=%.6f "
-              "final_acc=%.4f resumed_from=%lld stopped_early=%d "
+              "final_acc=%.4f resumed_from=%lld stopped_early=%d bootstrap_end=%lld "
               "data_s=%.6f fp_s=%.6f bp_s=%.6f opt_s=%.6f train_s=%.6f\n",
               rank, world, w.name.c_str(),
               static_cast<unsigned long long>(r.params_hash), r.final_frontier,
@@ -359,7 +359,8 @@ int Main(int argc, char** argv) {
               static_cast<long long>(r.wire_bytes), r.allreduce_seconds,
               r.comm_hidden_seconds, r.comm_exposed_seconds,
               r.final_display, static_cast<long long>(r.resumed_from_iter),
-              r.stopped_early ? 1 : 0, r.data_seconds, r.fp_seconds,
+              r.stopped_early ? 1 : 0, static_cast<long long>(r.bootstrap_end_iter),
+              r.data_seconds, r.fp_seconds,
               r.bp_seconds, r.opt_seconds, r.train_seconds);
   FlushObservability(rank);
   return 0;

@@ -74,6 +74,56 @@ void BM_MatMulInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulInt8)->Arg(256);
 
+// Small and skinny fp32 GEMMs: the per-item conv (resnet50_egeria) and
+// per-head attention and linear (transformer_egeria) shapes, then shapes just
+// below the direct path's volume bound (kGemmDirectMaxVolume = 73*19*189) and
+// 64^3, the first volume above it. Args: m, k, n, trans_a, trans_b.
+void BM_GemmSmall(benchmark::State& state) {
+  const int64_t m = state.range(0);
+  const int64_t k = state.range(1);
+  const int64_t n = state.range(2);
+  const bool trans_a = state.range(3) != 0;
+  const bool trans_b = state.range(4) != 0;
+  Rng rng(5);
+  Tensor a = Tensor::Randn({m, k}, rng);
+  Tensor b = Tensor::Randn({k, n}, rng);
+  Tensor c = Tensor::Uninitialized({m, n});
+  for (auto _ : state) {
+    Gemm(a.Data(), b.Data(), c.Data(), m, k, n, trans_a, trans_b, false);
+    benchmark::DoNotOptimize(c.Data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_GemmSmall)
+    ->Args({10, 10, 8, 0, 0})
+    ->Args({10, 10, 8, 1, 0})
+    ->Args({10, 8, 10, 0, 1})
+    ->Args({16, 144, 16, 0, 0})
+    ->Args({144, 16, 16, 1, 0})
+    ->Args({16, 16, 144, 0, 1})
+    ->Args({128, 32, 4, 0, 0})
+    ->Args({288, 32, 4, 1, 0})
+    ->Args({32, 4, 288, 0, 1})
+    ->Args({32, 288, 4, 0, 0})
+    ->Args({16, 4, 256, 0, 0})
+    ->Args({4, 36, 256, 0, 0})
+    ->Args({16, 256, 4, 0, 1})
+    ->Args({64, 32, 32, 0, 0})
+    ->Args({160, 32, 32, 0, 0})
+    ->Args({160, 32, 32, 0, 1})
+    ->Args({73, 19, 189, 0, 0})
+    ->Args({63, 64, 64, 0, 0})
+    ->Args({63, 64, 64, 1, 1})
+    ->Args({127, 64, 32, 0, 0})
+    ->Args({31, 256, 32, 0, 0})
+    ->Args({255, 256, 4, 0, 0})
+    ->Args({4, 255, 256, 0, 0})
+    ->Args({15, 128, 128, 0, 0})
+    ->Args({127, 128, 16, 0, 0})
+    ->Args({64, 64, 64, 0, 0})
+    ->UseRealTime();
+
 void BM_ConvForwardFloat(benchmark::State& state) {
   Rng rng(2);
   Conv2d conv("c", 16, 16, 3, rng);

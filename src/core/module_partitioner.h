@@ -28,7 +28,7 @@ struct PartitionConfig {
   int target_modules = 7;
   // Any block whose name contains this substring starts a new module (the paper's
   // layer-granularity regex option). Empty disables.
-  std::string boundary_pattern;
+  std::string boundary_pattern{};
 };
 
 struct PartitionSummary {

@@ -345,6 +345,155 @@ void BlockMultiplyF(const float* apack, const float* bpack, float* c, int64_t ld
   }
 }
 
+// ---------------------------------------------------- direct small-problem fp32
+//
+// Problems with k <= kKc and m*k*n <= kGemmDirectMaxVolume skip packing: A is
+// read in place through a row stride `ars` and a k stride `acs`, and B as k
+// rows of n contiguous floats. One register group is up to 8 rows of C by a
+// 16- or 32-column chunk, the last chunk lane-masked, so nothing is padded to
+// the MR x NR tile. Per element the arithmetic is the packed path's for
+// k <= kKc: start from 0, one multiply-add per p ascending, then store or add.
+// 8 rows rather than 4: 8 independent FMA chains per step (16 with two column
+// vectors) hide the FMA latency that left narrow-n shapes such as 32x288x4
+// latency-bound; BM_GemmSmall ran 1.2-1.8x faster on most shapes.
+
+static_assert(2 * kGemmDirectMaxVolume < kParallelFlopThreshold,
+              "the direct path takes only problems the packed path runs serially");
+
+constexpr int64_t kDirectRows = 8;
+constexpr int64_t kDirectLanes = 16;
+
+#if defined(__AVX512F__)
+// kVecs 16-lane accumulators per row; all but the last are full, the last
+// keeps the lanes in `tail`. Masked-off lanes load zeros and are never stored.
+template <int kRows, int kVecs>
+void DirectTileZmm(int64_t k, const float* EGERIA_RESTRICT a, int64_t ars,
+                   int64_t acs, const float* EGERIA_RESTRICT b, int64_t ldb,
+                   __mmask16 tail, float* EGERIA_RESTRICT c, int64_t ldc,
+                   bool overwrite) {
+  // The unroll pragmas let gcc keep `acc` in registers: unrolled only by its
+  // late passes, the one-vector tiles stored every accumulator on each k step.
+  __m512 acc[kRows][kVecs];
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) {
+      acc[r][v] = _mm512_setzero_ps();
+    }
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const float* brow = b + p * ldb;
+    __m512 bv[kVecs];
+    for (int v = 0; v + 1 < kVecs; ++v) {
+      bv[v] = _mm512_loadu_ps(brow + v * kDirectLanes);
+    }
+    bv[kVecs - 1] = _mm512_maskz_loadu_ps(tail, brow + (kVecs - 1) * kDirectLanes);
+    const float* acol = a + p * acs;
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) {
+      const __m512 va = _mm512_set1_ps(acol[r * ars]);
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] = _mm512_fmadd_ps(va, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) {
+      const __mmask16 mask = v + 1 < kVecs ? __mmask16{0xFFFF} : tail;
+      float* cp = c + r * ldc + v * kDirectLanes;
+      const __m512 out =
+          overwrite ? acc[r][v]
+                    : _mm512_add_ps(_mm512_maskz_loadu_ps(mask, cp), acc[r][v]);
+      _mm512_mask_storeu_ps(cp, mask, out);
+    }
+  }
+}
+#else
+// Portable tile: kRows x nw (nw <= 16) in MicroKernelAcc's `acc += a * b`
+// form, so each build contracts it to FMA exactly when it contracts the
+// packed kernel.
+template <int kRows>
+void DirectTileAcc(int64_t k, const float* EGERIA_RESTRICT a, int64_t ars,
+                   int64_t acs, const float* EGERIA_RESTRICT b, int64_t ldb,
+                   int64_t nw, float* EGERIA_RESTRICT c, int64_t ldc,
+                   bool overwrite) {
+  float acc[kRows][kDirectLanes] = {};
+  for (int64_t p = 0; p < k; ++p) {
+    const float* EGERIA_RESTRICT brow = b + p * ldb;
+    const float* acol = a + p * acs;
+    for (int r = 0; r < kRows; ++r) {
+      const float av = acol[r * ars];
+#pragma omp simd
+      for (int64_t j = 0; j < nw; ++j) {
+        acc[r][j] += av * brow[j];
+      }
+    }
+  }
+  for (int r = 0; r < kRows; ++r) {
+    float* crow = c + r * ldc;
+    for (int64_t j = 0; j < nw; ++j) {
+      crow[j] = overwrite ? acc[r][j] : crow[j] + acc[r][j];
+    }
+  }
+}
+#endif
+
+// kRows rows of C, all n columns; B and C rows are n floats apart.
+template <int kRows>
+void DirectRowGroup(int64_t k, int64_t n, const float* a, int64_t ars,
+                    int64_t acs, const float* b, float* c, bool overwrite) {
+  for (int64_t j = 0; j < n;) {
+    const int64_t left = n - j;
+#if defined(__AVX512F__)
+    const int64_t w = left > kDirectLanes ? std::min(left, 2 * kDirectLanes) : left;
+    const __mmask16 tail = static_cast<__mmask16>(
+        (1U << (w > kDirectLanes ? w - kDirectLanes : w)) - 1U);
+    if (w > kDirectLanes) {
+      DirectTileZmm<kRows, 2>(k, a, ars, acs, b + j, n, tail, c + j, n,
+                              overwrite);
+    } else {
+      DirectTileZmm<kRows, 1>(k, a, ars, acs, b + j, n, tail, c + j, n,
+                              overwrite);
+    }
+#else
+    const int64_t w = std::min(left, kDirectLanes);
+    DirectTileAcc<kRows>(k, a, ars, acs, b + j, n, w, c + j, n, overwrite);
+#endif
+    j += w;
+  }
+}
+
+// B stored [n, k] to k rows of n floats. The AVX-512 loop gathers 16 columns
+// of one row per step: in BM_GemmSmall, the conv weight-gradient GEMMs
+// 16x16x144 and 32x4x288 ran 2.3x and 1.8x faster than with scalar copies,
+// 16x256x4 (n = 4) about 15% slower.
+void TransposeToRows(const float* b, int64_t k, int64_t n,
+                     float* EGERIA_RESTRICT bt) {
+#if defined(__AVX512F__)
+  const __m512i rows = _mm512_mullo_epi32(
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+      _mm512_set1_epi32(static_cast<int>(k)));
+  for (int64_t j = 0; j < n; j += kDirectLanes) {
+    const __mmask16 mask =
+        static_cast<__mmask16>((1U << std::min(kDirectLanes, n - j)) - 1U);
+    const float* src = b + j * k;
+    for (int64_t p = 0; p < k; ++p) {
+      _mm512_mask_storeu_ps(
+          bt + p * n + j, mask,
+          _mm512_mask_i32gather_ps(_mm512_setzero_ps(), mask, rows, src + p, 4));
+    }
+  }
+#else
+  for (int64_t p = 0; p < k; ++p) {
+    for (int64_t j = 0; j < n; ++j) {
+      bt[p * n + j] = b[j * k + p];
+    }
+  }
+#endif
+}
+
 // ----------------------------------------------------------------- int8 packing
 //
 // dot4 layout: k is grouped in fours so one 32-bit accumulator lane absorbs four
@@ -714,6 +863,37 @@ struct I8Traits {
   }
 };
 
+// The direct path for one fp32 problem, on the calling thread. B stored [n, k]
+// is first transposed to [k][n] in the B packing scratch; A(i, p) is read at
+// a[i * ars + p * acs].
+void DirectGemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
+                int64_t n, bool trans_a, bool trans_b, bool accumulate) {
+  if (trans_b) {
+    std::vector<char>& scratch = PackScratch<FpTraits<float, float>, 0>();
+    scratch.resize(static_cast<size_t>(k * n) * sizeof(float));
+    float* bt = reinterpret_cast<float*>(scratch.data());
+    TransposeToRows(b, k, n, bt);
+    b = bt;
+  }
+  const int64_t ars = trans_a ? 1 : k;
+  const int64_t acs = trans_a ? m : 1;
+  const bool overwrite = !accumulate;
+  for (int64_t i = 0; i < m; i += kDirectRows) {
+    const float* ar = a + i * ars;
+    float* cr = c + i * n;
+    switch (std::min(kDirectRows, m - i)) {
+      case 8: DirectRowGroup<8>(k, n, ar, ars, acs, b, cr, overwrite); break;
+      case 7: DirectRowGroup<7>(k, n, ar, ars, acs, b, cr, overwrite); break;
+      case 6: DirectRowGroup<6>(k, n, ar, ars, acs, b, cr, overwrite); break;
+      case 5: DirectRowGroup<5>(k, n, ar, ars, acs, b, cr, overwrite); break;
+      case 4: DirectRowGroup<4>(k, n, ar, ars, acs, b, cr, overwrite); break;
+      case 3: DirectRowGroup<3>(k, n, ar, ars, acs, b, cr, overwrite); break;
+      case 2: DirectRowGroup<2>(k, n, ar, ars, acs, b, cr, overwrite); break;
+      default: DirectRowGroup<1>(k, n, ar, ars, acs, b, cr, overwrite); break;
+    }
+  }
+}
+
 // ------------------------------------------------------------------- driver
 //
 // One Goto/BLIS block schedule for every dtype: jc (L3 B block) -> pc (k block,
@@ -816,6 +996,8 @@ void GemmDriver(const typename TR::SrcA* a, const typename TR::SrcB* b,
 // as args. Low priority + the volume floor keep per-item conv GEMMs from
 // flooding the per-thread buffers (see src/obs/trace.h).
 constexpr int64_t kGemmTraceMinVolume = int64_t{1} << 20;  // m*k*n
+static_assert(kGemmDirectMaxVolume < kGemmTraceMinVolume,
+              "direct-path problems are below the span floor");
 
 class GemmTraceScope {
  public:
@@ -848,6 +1030,10 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_
           bool trans_a, bool trans_b, bool accumulate) {
   static obs::Counter& calls = obs::GetCounter("gemm.calls_fp32");
   calls.Add(1);
+  if (m > 0 && n > 0 && k > 0 && k <= kKc && m * k * n <= kGemmDirectMaxVolume) {
+    DirectGemm(a, b, c, m, k, n, trans_a, trans_b, accumulate);
+    return;
+  }
   GemmTraceScope span("fp32", m, k, n);
   GemmDriver<FpTraits<float, float>>(a, b, c, m, k, n, trans_a, trans_b, accumulate);
 }

@@ -5,7 +5,9 @@
 // op(B) with row-major storage, where op transposes the operand's two
 // dimensions. All dtypes share one Goto/BLIS blocking and compute-pool
 // threading model — see src/tensor/README.md for the blocking parameters,
-// packing layouts, and accumulation rules.
+// packing layouts, and accumulation rules. Small fp32 problems skip packing:
+// a direct kernel with the same per-element arithmetic runs them (see
+// kGemmDirectMaxVolume).
 //
 // Three storage dtypes are supported, selected by overload (or dynamically via
 // the GemmDtype-tagged entry point):
@@ -31,6 +33,16 @@ namespace egeria {
 
 // Storage dtype tag for the dynamic Gemm entry point.
 enum class GemmDtype : uint8_t { kF32, kF16, kI8 };
+
+// fp32 problems with k <= 384 and m*k*n at or below this bound skip packing:
+// a direct kernel reads A in place and B row by row, with no padding to the
+// microkernel tile, on the calling thread (src/tensor/README.md, "Small
+// problems"). Results are bitwise those of the packed path. The bound is the
+// largest volume the packed path runs serially: in BM_GemmSmall
+// (bench/micro_kernels.cc, 1 thread, 4-vCPU Xeon) the direct kernel was
+// 1.7-8.2x faster than the packed path on every measured shape at or below
+// it, so no per-shape limit sits lower.
+inline constexpr int64_t kGemmDirectMaxVolume = (int64_t{1} << 18) - 1;
 
 // C[m,n] (+)= op(A)[m,k] * op(B)[k,n].
 // A is stored row-major as [m,k] (or [k,m] when trans_a); B as [k,n] (or [n,k]

@@ -14,13 +14,15 @@
 //   - int8: exact int32 equality (the kernel contract is integer-exact), with
 //     the reference asserting the true value fits int32.
 // Shapes cover full tiles, edge tiles, every cache-blocking boundary, the
-// B-panel fan-out path, and k % 4 != 0 (int8 dot4 padding).
+// B-panel fan-out path, k % 4 != 0 (int8 dot4 padding), and the edges of the
+// fp32 direct (pack-free) path, which must match the packed path bitwise.
 //
 // Multithreaded bitwise determinism is locked in per dtype (repeat-run
 // stability) and across thread counts (EGERIA_NUM_THREADS=1 vs =8 subprocess
 // hash comparison).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -55,7 +57,16 @@ const GemmCase kCases[] = {
     {14, 32, 14},   {2, 500, 3},    {113, 97, 89},  {128, 128, 128},
     {240, 384, 48}, {17, 385, 33},  {1, 7, 513},    {9, 700, 1200},
     {30, 601, 500}, {5, 102, 37},
+    // The fp32 direct path: per-head attention and per-item conv shapes of
+    // the benchmark workloads, the volume bound (73*19*189 =
+    // kGemmDirectMaxVolume, 64^3 one above it) and k one step either side of
+    // kKc at a volume below the bound.
+    {10, 10, 8},    {10, 8, 10},    {16, 144, 16},  {128, 32, 4},
+    {32, 288, 4},   {16, 4, 256},   {4, 36, 256},   {73, 19, 189},
+    {64, 64, 64},   {20, 383, 30},  {20, 384, 30},  {20, 385, 30},
 };
+static_assert(73 * 19 * 189 == kGemmDirectMaxVolume,
+              "the bound shape must sit exactly at the direct path's bound");
 
 std::vector<float> RandomVec(int64_t n, Rng& rng) {
   std::vector<float> v(static_cast<size_t>(n));
@@ -321,6 +332,52 @@ TEST(GemmTest, BatchedMatchesPerItem) {
   // Batch parallelism must not change any item's arithmetic.
   EXPECT_EQ(0, std::memcmp(c_batched.data(), c_items.data(),
                            c_batched.size() * sizeof(float)));
+}
+
+// The fp32 direct path (m*k*n <= kGemmDirectMaxVolume, k <= kKc) must give
+// each element the packed path's bits. Each small problem is embedded as the
+// first rows of a problem with at least 224 more rows, enough to exceed the
+// bound, so the packed path computes those rows; they must match bitwise. No
+// FMA assumption: the two paths must agree however the build contracts.
+TEST(GemmTest, SmallPathRowsMatchPackedPathBitwise) {
+  const GemmCase shapes[] = {
+      {10, 10, 8}, {10, 8, 10},  {16, 144, 16}, {128, 32, 4},  {32, 288, 4},
+      {16, 4, 256}, {4, 36, 256}, {73, 19, 189}, {20, 384, 30}, {1, 1, 1},
+      {3, 129, 7},  {9, 17, 33},
+  };
+  Rng rng(4242);
+  for (const GemmCase& s : shapes) {
+    const int64_t m = s.m;
+    const int64_t k = s.k;
+    const int64_t n = s.n;
+    ASSERT_LE(m * k * n, kGemmDirectMaxVolume);
+    const int64_t big_m = m + std::max<int64_t>(224, kGemmDirectMaxVolume / (k * n) + 1);
+    ASSERT_GT(big_m * k * n, kGemmDirectMaxVolume);
+    for (const bool trans_a : {false, true}) {
+      for (const bool trans_b : {false, true}) {
+        for (const bool accumulate : {false, true}) {
+          const std::vector<float> a = RandomVec(m * k, rng);
+          const std::vector<float> b = RandomVec(k * n, rng);
+          std::vector<float> c = RandomVec(m * n, rng);
+          std::vector<float> big_a = RandomVec(big_m * k, rng);
+          for (int64_t i = 0; i < m; ++i) {
+            for (int64_t p = 0; p < k; ++p) {
+              big_a[static_cast<size_t>(SrcIndexA(i, p, big_m, k, trans_a))] =
+                  a[static_cast<size_t>(SrcIndexA(i, p, m, k, trans_a))];
+            }
+          }
+          std::vector<float> big_c = RandomVec(big_m * n, rng);
+          std::copy(c.begin(), c.end(), big_c.begin());
+          Gemm(a.data(), b.data(), c.data(), m, k, n, trans_a, trans_b, accumulate);
+          Gemm(big_a.data(), b.data(), big_c.data(), big_m, k, n, trans_a, trans_b,
+               accumulate);
+          ASSERT_EQ(0, std::memcmp(c.data(), big_c.data(), c.size() * sizeof(float)))
+              << "m=" << m << " k=" << k << " n=" << n << " ta=" << trans_a
+              << " tb=" << trans_b << " acc=" << accumulate;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- determinism

@@ -9,9 +9,13 @@
 
 #include "src/metrics/pwcca.h"
 #include "src/metrics/sp_loss.h"
+#include "src/models/transformer.h"
+#include "src/nn/activations.h"
 #include "src/nn/batchnorm.h"
 #include "src/nn/conv2d.h"
+#include "src/nn/layernorm.h"
 #include "src/nn/linear.h"
+#include "src/optim/optimizer.h"
 #include "src/quant/quantized_modules.h"
 #include "src/tensor/gemm.h"
 #include "src/tensor/tensor_ops.h"
@@ -186,6 +190,90 @@ void BM_Conv2dPointwise(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * x.NumEl());
 }
 BENCHMARK(BM_Conv2dPointwise)->UseRealTime();
+
+// The non-GEMM layers of transformer_egeria at its shapes: batch 16, 10
+// tokens, model dim 32, FFN dim 64, 4 heads. Arg 0 times forward, arg 1
+// backward (after one untimed forward).
+void BM_GeLU(benchmark::State& state) {
+  Rng rng(6);
+  GeLU gelu("gelu");
+  gelu.SetTraining(true);
+  Tensor x = Tensor::Randn({16, 10, 64}, rng);
+  Tensor dy = Tensor::Randn({16, 10, 64}, rng);
+  const bool backward = state.range(0) != 0;
+  benchmark::DoNotOptimize(gelu.Forward(x));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(backward ? gelu.Backward(dy) : gelu.Forward(x));
+  }
+  state.SetItemsProcessed(state.iterations() * x.NumEl());
+}
+BENCHMARK(BM_GeLU)->Arg(0)->Arg(1)->UseRealTime();
+
+// Attention probabilities over [batch * heads, tq, tk] causally masked scores,
+// as in MultiHeadAttention::Forward of a decoder self-attention.
+void BM_SoftmaxAttention(benchmark::State& state) {
+  Rng rng(7);
+  const int64_t t = 10;
+  Tensor scores = Tensor::Randn({16, 4, t, t}, rng, 2.0F);
+  float* s = scores.Data();
+  for (int64_t m = 0; m < 16 * 4; ++m) {
+    for (int64_t i = 0; i < t; ++i) {
+      for (int64_t j = i + 1; j < t; ++j) {
+        s[(m * t + i) * t + j] = -1e9F;
+      }
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Softmax(scores));
+  }
+  state.SetItemsProcessed(state.iterations() * scores.NumEl());
+}
+BENCHMARK(BM_SoftmaxAttention)->UseRealTime();
+
+void BM_LayerNorm(benchmark::State& state) {
+  Rng rng(8);
+  LayerNorm ln("ln", 32);
+  Tensor x = Tensor::Randn({16, 10, 32}, rng);
+  Tensor dy = Tensor::Randn({16, 10, 32}, rng);
+  const bool backward = state.range(0) != 0;
+  benchmark::DoNotOptimize(ln.Forward(x));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(backward ? ln.Backward(dy) : ln.Forward(x));
+  }
+  state.SetItemsProcessed(state.iterations() * x.NumEl());
+}
+BENCHMARK(BM_LayerNorm)->Arg(0)->Arg(1)->UseRealTime();
+
+// One Adam step over every parameter of transformer_egeria's model (the
+// factory's configuration; the "params" counter reports the total).
+void BM_AdamStep(benchmark::State& state) {
+  Rng rng(9);
+  TransformerConfig cfg;
+  cfg.vocab = 32;
+  cfg.dim = 32;
+  cfg.heads = 4;
+  cfg.ffn_dim = 64;
+  cfg.num_encoder_layers = 4;
+  cfg.num_decoder_layers = 4;
+  cfg.max_len = 16;
+  TransformerChainModel model("mt", cfg, rng);
+  std::vector<Parameter*> params = model.ParamsFrom(0);
+  int64_t count = 0;
+  for (Parameter* p : params) {
+    for (int64_t i = 0; i < p->grad.NumEl(); ++i) {
+      p->grad.Data()[i] = 1e-3F * rng.NextGaussian();
+    }
+    count += p->value.NumEl();
+  }
+  Adam adam;
+  for (auto _ : state) {
+    adam.Step(params, 1e-4F);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * count);
+  state.counters["params"] = static_cast<double>(count);
+}
+BENCHMARK(BM_AdamStep)->UseRealTime();
 
 void BM_LinearForwardFloat(benchmark::State& state) {
   Rng rng(3);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/tensor/vec_math.h"
 #include "src/util/logging.h"
 
 namespace egeria {
@@ -84,11 +85,15 @@ Tensor GeLU::Forward(const Tensor& input) {
   if (training_) {
     cached_input_ = input;
   }
-  Tensor out = input.Clone();
+  // Every element is written below.
+  Tensor out = Tensor::Uninitialized(input.Shape());
+  const float* xp = input.Data();
   float* p = out.Data();
-  for (int64_t i = 0; i < out.NumEl(); ++i) {
-    const float x = p[i];
-    const float t = std::tanh(kGeluC * (x + 0.044715F * x * x * x));
+  const int64_t n = out.NumEl();
+#pragma omp simd
+  for (int64_t i = 0; i < n; ++i) {
+    const float x = xp[i];
+    const float t = TanhF(kGeluC * (x + 0.044715F * x * x * x));
     p[i] = 0.5F * x * (1.0F + t);
   }
   return out;
@@ -96,16 +101,19 @@ Tensor GeLU::Forward(const Tensor& input) {
 
 Tensor GeLU::Backward(const Tensor& grad_output) {
   EGERIA_CHECK_MSG(cached_input_.Defined(), name_ + ": Backward without Forward");
-  Tensor grad = grad_output.Clone();
+  Tensor grad = Tensor::Uninitialized(grad_output.Shape());
+  const float* dy = grad_output.Data();
   float* g = grad.Data();
   const float* xp = cached_input_.Data();
-  for (int64_t i = 0; i < grad.NumEl(); ++i) {
+  const int64_t n = grad.NumEl();
+#pragma omp simd
+  for (int64_t i = 0; i < n; ++i) {
     const float x = xp[i];
     const float u = kGeluC * (x + 0.044715F * x * x * x);
-    const float t = std::tanh(u);
+    const float t = TanhF(u);
     const float du = kGeluC * (1.0F + 3.0F * 0.044715F * x * x);
     const float d = 0.5F * (1.0F + t) + 0.5F * x * (1.0F - t * t) * du;
-    g[i] *= d;
+    g[i] = dy[i] * d;
   }
   return grad;
 }

@@ -4,67 +4,19 @@
 #include <cmath>
 
 #include "src/tensor/compute_pool.h"
+#include "src/tensor/vec_math.h"
 #include "src/util/logging.h"
 
 namespace egeria {
 
 namespace {
 
-// The per-channel sums below read `planes` runs of n floats, run p starting at
-// x + p * stride, and add them in double into kLanes partial sums: element i of
-// a run goes to lane i % kLanes. The lanes are folded in one fixed order at the
-// end. The order of every addition therefore depends only on the shape, not on
-// the vector width the compiler picks nor on the thread that runs the channel
-// (an `omp simd reduction` would leave the order to the vector width).
-constexpr int64_t kLanes = 8;
+// The per-channel sums are the fixed-lane double sums of vec_math.h: the
+// order of every addition depends only on the shape, not on the vector width
+// nor on the thread that runs the channel.
 
 // Smallest number of elements worth handing to another pool thread.
 constexpr int64_t kGrainElements = int64_t{1} << 14;
-
-double FoldLanes(const double* acc) {
-  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-}
-
-// Sum of x over the runs.
-double SumF64(const float* x, int64_t planes, int64_t stride, int64_t n) {
-  double acc[kLanes] = {};
-  const int64_t body = n - n % kLanes;
-  for (int64_t p = 0; p < planes; ++p) {
-    const float* run = x + p * stride;
-    for (int64_t i = 0; i < body; i += kLanes) {
-#pragma omp simd
-      for (int64_t l = 0; l < kLanes; ++l) {
-        acc[l] += run[i + l];
-      }
-    }
-    for (int64_t l = 0; l < n - body; ++l) {
-      acc[l] += run[body + l];
-    }
-  }
-  return FoldLanes(acc);
-}
-
-// Sum of (x - mean)^2 over the runs.
-double SumSqDevF64(const float* x, int64_t planes, int64_t stride, int64_t n,
-                   double mean) {
-  double acc[kLanes] = {};
-  const int64_t body = n - n % kLanes;
-  for (int64_t p = 0; p < planes; ++p) {
-    const float* run = x + p * stride;
-    for (int64_t i = 0; i < body; i += kLanes) {
-#pragma omp simd
-      for (int64_t l = 0; l < kLanes; ++l) {
-        const double d = run[i + l] - mean;
-        acc[l] += d * d;
-      }
-    }
-    for (int64_t l = 0; l < n - body; ++l) {
-      const double d = run[body + l] - mean;
-      acc[l] += d * d;
-    }
-  }
-  return FoldLanes(acc);
-}
 
 // Sums of dy and of dy * xhat over the runs, in one pass.
 void SumDyAndDyXhatF64(const float* dy, const float* xhat, int64_t planes, int64_t stride,

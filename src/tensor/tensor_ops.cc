@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "src/tensor/compute_pool.h"
+#include "src/tensor/vec_math.h"
 #include "src/util/logging.h"
 
 namespace egeria {
@@ -354,19 +355,35 @@ Tensor Softmax(const Tensor& logits) {
   EGERIA_CHECK(logits.Dim() >= 1);
   const int64_t n = logits.Size(-1);
   const int64_t rows = logits.NumEl() / n;
-  Tensor out = logits.Clone();
+  Tensor out = Tensor::Uninitialized(logits.Shape());
+  const float* x = logits.Data();
   float* p = out.Data();
   // Rows are independent; the grain keeps per-chunk work above pool overhead.
+  // Each chunk takes three passes: shift every row by its max, one flat ExpF
+  // pass over the whole chunk (attention rows are short, so a per-row exp loop
+  // would barely fill a vector), then normalize each row by its sum.
   ParallelFor(rows, 4096 / std::max<int64_t>(n, 1) + 1, [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
+      const float* xrow = x + r * n;
       float* row = p + r * n;
-      float mx = row[0];
+      float mx = xrow[0];
       for (int64_t i = 1; i < n; ++i) {
-        mx = std::max(mx, row[i]);
+        mx = std::max(mx, xrow[i]);
       }
+      for (int64_t i = 0; i < n; ++i) {
+        row[i] = xrow[i] - mx;
+      }
+    }
+    float* chunk = p + lo * n;
+    const int64_t count = (hi - lo) * n;
+#pragma omp simd
+    for (int64_t i = 0; i < count; ++i) {
+      chunk[i] = ExpF(chunk[i]);
+    }
+    for (int64_t r = lo; r < hi; ++r) {
+      float* row = p + r * n;
       double sum = 0.0;
       for (int64_t i = 0; i < n; ++i) {
-        row[i] = std::exp(row[i] - mx);
         sum += row[i];
       }
       const float inv = static_cast<float>(1.0 / sum);

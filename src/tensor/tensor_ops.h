@@ -82,7 +82,9 @@ Tensor AvgPool2dBackward(const Tensor& grad_out, int64_t kernel, int64_t stride,
 Tensor GlobalAvgPoolForward(const Tensor& input);
 Tensor GlobalAvgPoolBackward(const Tensor& grad_out, int64_t h, int64_t w);
 
-// Softmax / LogSoftmax along the last dimension.
+// Softmax / LogSoftmax along the last dimension. Softmax (attention's) takes
+// its exponentials from ExpF (vec_math.h); LogSoftmax, which feeds every
+// classification loss, stays on libm.
 Tensor Softmax(const Tensor& logits);
 Tensor LogSoftmax(const Tensor& logits);
 

@@ -1,9 +1,11 @@
-// Conv-stack kernels outside the GEMM: BatchNorm2d's vectorized, channel-
-// parallel reductions and the im2col-free pointwise convolution.
+// Kernels outside the GEMM: BatchNorm2d's vectorized, channel-parallel
+// reductions, LayerNorm's fixed-lane row sums, and the im2col-free pointwise
+// convolution.
 //
 // BatchNorm2d is checked against a double-precision reference in both of its
-// modes, and pinned bitwise across compute-pool widths 1-4 (each width runs in a
-// child process, since the pool width is fixed for a process lifetime). The
+// modes, LayerNorm in its one, and BatchNorm2d is pinned bitwise across
+// compute-pool widths 1-4 (each width runs in a child process, since the pool
+// width is fixed for a process lifetime). The
 // pointwise Conv2d is pinned bitwise against the explicit Im2Col -> Gemm ->
 // Col2Im lowering it replaces, and must leave its input untouched, because its
 // cached columns alias that input.
@@ -20,6 +22,7 @@
 
 #include "src/nn/batchnorm.h"
 #include "src/nn/conv2d.h"
+#include "src/nn/layernorm.h"
 #include "src/tensor/compute_pool.h"
 #include "src/tensor/tensor_ops.h"
 #include "src/util/rng.h"
@@ -165,6 +168,83 @@ INSTANTIATE_TEST_SUITE_P(Shapes, BatchNormReferenceTest, ::testing::ValuesIn(BnC
                            return "c" + std::to_string(info.param.channels) + "_hw" +
                                   std::to_string(info.param.h * info.param.w) +
                                   (info.param.batch_stats ? "_batch" : "_running");
+                         });
+
+// -------------------------------------------------------- LayerNorm reference
+
+class LayerNormReferenceTest : public ::testing::TestWithParam<int64_t> {};
+
+// Forward (out) and backward (dx, dgamma, dbeta) against the same formulas
+// evaluated in double, over dims below, at and above the 8-lane sums' width.
+TEST_P(LayerNormReferenceTest, MatchesDoubleReference) {
+  const int64_t d = GetParam();
+  const int64_t rows = 2 * 5;
+  const float eps = 1e-5F;
+  Rng rng(static_cast<uint64_t>(300 + d));
+  LayerNorm ln("ln", d, eps);
+  Randomize(ln.LocalParams()[0]->value, rng, 1.0F);
+  Randomize(ln.LocalParams()[1]->value, rng, 0.0F);
+  ln.ZeroGrad();
+  const float* gamma = ln.LocalParams()[0]->value.Data();
+  const float* beta = ln.LocalParams()[1]->value.Data();
+
+  Tensor x = Tensor::Randn({2, 5, d}, rng, 2.0F);
+  for (int64_t i = 0; i < x.NumEl(); ++i) {
+    x.Data()[i] += 0.75F;  // A mean far from zero exercises the centred variance.
+  }
+  Tensor dy = Tensor::Randn({2, 5, d}, rng);
+  Tensor out = ln.Forward(x);
+  Tensor dx = ln.Backward(dy);
+  ASSERT_EQ(out.Shape(), x.Shape());
+  ASSERT_EQ(dx.Shape(), x.Shape());
+
+  std::vector<double> dgamma(static_cast<size_t>(d), 0.0);
+  std::vector<double> dbeta(static_cast<size_t>(d), 0.0);
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* xr = x.Data() + r * d;
+    const float* dyr = dy.Data() + r * d;
+    double mean = 0.0;
+    for (int64_t i = 0; i < d; ++i) {
+      mean += xr[i];
+    }
+    mean /= static_cast<double>(d);
+    double var = 0.0;
+    for (int64_t i = 0; i < d; ++i) {
+      var += (xr[i] - mean) * (xr[i] - mean);
+    }
+    var /= static_cast<double>(d);
+    const double inv_std = 1.0 / std::sqrt(var + eps);
+    double sum_dyg = 0.0;
+    double sum_dyg_xhat = 0.0;
+    for (int64_t i = 0; i < d; ++i) {
+      const double xhat = (xr[i] - mean) * inv_std;
+      EXPECT_NEAR(out.Data()[r * d + i], gamma[i] * xhat + beta[i],
+                  1e-5 * (1.0 + std::abs(gamma[i] * xhat)))
+          << "row " << r << " i " << i;
+      sum_dyg += dyr[i] * static_cast<double>(gamma[i]);
+      sum_dyg_xhat += dyr[i] * static_cast<double>(gamma[i]) * xhat;
+      dgamma[static_cast<size_t>(i)] += dyr[i] * xhat;
+      dbeta[static_cast<size_t>(i)] += dyr[i];
+    }
+    for (int64_t i = 0; i < d; ++i) {
+      const double xhat = (xr[i] - mean) * inv_std;
+      const double want =
+          inv_std * (dyr[i] * gamma[i] - sum_dyg / d - xhat * sum_dyg_xhat / d);
+      EXPECT_NEAR(dx.Data()[r * d + i], want, 1e-4 * (1.0 + std::abs(gamma[i] * inv_std)))
+          << "row " << r << " i " << i;
+    }
+  }
+  for (int64_t i = 0; i < d; ++i) {
+    const double dg = dgamma[static_cast<size_t>(i)];
+    const double db = dbeta[static_cast<size_t>(i)];
+    EXPECT_NEAR(ln.LocalParams()[0]->grad.Data()[i], dg, 1e-4 * (1.0 + std::abs(dg))) << i;
+    EXPECT_NEAR(ln.LocalParams()[1]->grad.Data()[i], db, 1e-4 * (1.0 + std::abs(db))) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, LayerNormReferenceTest, ::testing::Values(1, 7, 8, 32, 33, 64),
+                         [](const ::testing::TestParamInfo<int64_t>& info) {
+                           return "d" + std::to_string(info.param);
                          });
 
 // --------------------------------------------- BatchNorm2d across pool widths
